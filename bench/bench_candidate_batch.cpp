@@ -1,12 +1,12 @@
 // Cross-candidate batch evaluation: per-candidate delta runs vs one shared
-// delta tree (docs/architecture.md §14).
+// delta tree (docs/architecture.md §12).
 //
 // The workload mirrors a VALIDATE round: every candidate shares a wide base
 // edit (the population's current patch — an agg prefix-list change whose
 // blast radius spans the fabric) and adds one narrow edit of its own (a
 // ToR-local static route). The per-candidate path re-propagates the shared
-// base once per candidate (DeltaSimulator from the anchor); the batch path
-// propagates it once and forks each candidate off the base node via
+// base once per candidate (a one-shot delta run from the anchor); the batch
+// path propagates it once and forks each candidate off the base node via
 // copy-on-write undo logs (route::DeltaTree).
 //
 // Both paths must produce byte-identical results — before timing anything,
@@ -30,7 +30,6 @@
 
 #include "bench/util.hpp"
 #include "core/scenarios.hpp"
-#include "routing/delta.hpp"
 #include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 
@@ -42,7 +41,7 @@ struct Case {
   std::string scenario;
   int routers = 0;
   int leaves = 0;
-  double per_candidate_ms = 0;  // DeltaSimulator from anchor, per candidate
+  double per_candidate_ms = 0;  // one-shot delta run from anchor, per candidate
   double tree_ms = 0;           // DeltaTree ctor + setBase + all leaves
   int leaf_rounds = 0;          // median leaf-segment rounds
   std::uint64_t undo_entries = 0;  // median leaf undo-log size
@@ -142,7 +141,12 @@ Case runCase(const Scenario& scenario, int pods, int tors, int reps) {
   }
 
   // --- identity check: tree leaf == per-candidate delta == full run -------
-  const route::DeltaSimulator delta(anchor_network, anchor);
+  // Per-candidate path: a one-shot delta run from the anchor.
+  const auto perCandidate = [&](const Candidate& candidate,
+                                route::TreeLeafStats* stats) {
+    return route::DeltaTree(anchor_network, anchor, options)
+        .run(candidate.network, {"agg1a", candidate.device}, stats);
+  };
   std::vector<int> leaf_rounds;
   std::vector<std::uint64_t> undo_entries;
   {
@@ -151,9 +155,8 @@ Case runCase(const Scenario& scenario, int pods, int tors, int reps) {
     for (const Candidate& candidate : candidates) {
       const route::SimResult full =
           route::Simulator(candidate.network).run(options);
-      route::DeltaStats stats;
-      const route::SimResult per_candidate = delta.run(
-          candidate.network, {"agg1a", candidate.device}, options, &stats);
+      route::TreeLeafStats stats;
+      const route::SimResult per_candidate = perCandidate(candidate, &stats);
       if (!stats.used_delta) {
         std::fprintf(stderr, "%s / %s: per-candidate delta fell back (%s)\n",
                      scenario.name.c_str(), candidate.device.c_str(),
@@ -197,9 +200,7 @@ Case runCase(const Scenario& scenario, int pods, int tors, int reps) {
     auto start = std::chrono::steady_clock::now();
     std::size_t per_candidate_rib = 0;
     for (const Candidate& candidate : candidates) {
-      per_candidate_rib +=
-          delta.run(candidate.network, {"agg1a", candidate.device}, options)
-              .rib.size();
+      per_candidate_rib += perCandidate(candidate, nullptr).rib.size();
     }
     auto mid = std::chrono::steady_clock::now();
     std::size_t tree_rib = 0;

@@ -8,7 +8,7 @@
 // tree_ms column of BENCH_candidate_batch.json as committed by PR 6, the
 // last revision before the layout overhaul. Before timing anything the
 // harness verifies every tree leaf route-by-route against both a
-// from-scratch simulation and the per-candidate DeltaSimulator run: the
+// from-scratch simulation and the per-candidate one-shot delta run: the
 // gate can only pass with byte-identical verdicts.
 //
 //   bench_rib_layout [--reps N] [--smoke] [--json]
@@ -27,7 +27,6 @@
 
 #include "bench/util.hpp"
 #include "core/scenarios.hpp"
-#include "routing/delta.hpp"
 #include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 
@@ -136,16 +135,20 @@ Case runCase(const Scenario& scenario, int pods, int tors, int reps) {
   }
 
   // --- identity check: tree leaf == per-candidate delta == full run -------
-  const route::DeltaSimulator delta(anchor_network, anchor);
+  // Per-candidate path: a one-shot delta run from the anchor.
+  const auto perCandidate = [&](const Candidate& candidate,
+                                route::TreeLeafStats* stats) {
+    return route::DeltaTree(anchor_network, anchor, options)
+        .run(candidate.network, {"agg1a", candidate.device}, stats);
+  };
   {
     route::DeltaTree tree(anchor_network, anchor, options);
     tree.setBase(base, {"agg1a"});
     for (const Candidate& candidate : candidates) {
       const route::SimResult full =
           route::Simulator(candidate.network).run(options);
-      route::DeltaStats stats;
-      const route::SimResult per_candidate = delta.run(
-          candidate.network, {"agg1a", candidate.device}, options, &stats);
+      route::TreeLeafStats stats;
+      const route::SimResult per_candidate = perCandidate(candidate, &stats);
       if (!stats.used_delta || !sameResult(per_candidate, full)) {
         std::fprintf(stderr, "%s / %s: per-candidate delta diverged (%s)\n",
                      scenario.name.c_str(), candidate.device.c_str(),

@@ -2,10 +2,11 @@
 //
 // For each DCN scenario the harness converges a baseline once, applies a
 // single-device candidate edit, then times (a) a from-scratch Simulator::run
-// of the edited network and (b) a DeltaSimulator run seeded with the
-// baseline fixpoint. Both paths must produce byte-identical results — the
-// harness verifies the RIBs route-by-route before it reports a single
-// number, so a speedup can never come from a wrong answer.
+// of the edited network and (b) a one-shot delta run (a one-leaf
+// route::DeltaTree) seeded with the baseline fixpoint. Both paths must
+// produce byte-identical results — the harness verifies the RIBs
+// route-by-route before it reports a single number, so a speedup can never
+// come from a wrong answer.
 //
 //   bench_sim_incremental [--reps N] [--smoke] [--json]
 //
@@ -22,7 +23,7 @@
 
 #include "bench/util.hpp"
 #include "core/scenarios.hpp"
-#include "routing/delta.hpp"
+#include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 
 namespace {
@@ -81,11 +82,13 @@ Case runCase(const Scenario& scenario, const Edit& edit, int reps) {
   edit.apply(edited);
   edited.renumberAll();
 
-  const route::DeltaSimulator delta(scenario.network(), baseline);
-  route::DeltaStats stats;
+  const auto deltaRun = [&](route::TreeLeafStats* stats) {
+    return route::DeltaTree(scenario.network(), baseline, options)
+        .run(edited, {edit.device}, stats);
+  };
+  route::TreeLeafStats stats;
   const route::SimResult full = route::Simulator(edited).run(options);
-  const route::SimResult incremental =
-      delta.run(edited, {edit.device}, options, &stats);
+  const route::SimResult incremental = deltaRun(&stats);
   if (!stats.used_delta) {
     std::fprintf(stderr, "%s / %s: delta fell back (%s)\n",
                  scenario.name.c_str(), edit.label.c_str(),
@@ -104,8 +107,7 @@ Case runCase(const Scenario& scenario, const Edit& edit, int reps) {
     auto start = std::chrono::steady_clock::now();
     const route::SimResult timed_full = route::Simulator(edited).run(options);
     auto mid = std::chrono::steady_clock::now();
-    const route::SimResult timed_delta =
-        delta.run(edited, {edit.device}, options);
+    const route::SimResult timed_delta = deltaRun(nullptr);
     auto end = std::chrono::steady_clock::now();
     full_samples.push_back(
         std::chrono::duration<double, std::milli>(mid - start).count());

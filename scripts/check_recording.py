@@ -11,8 +11,8 @@ Checks, per recording:
   * when a `begin` event is present it is the first line;
   * the last event is terminal (`end`) — a recording that stops anywhere
     else means the producer crashed or truncated the file;
-  * a verdict's optional `node` (its delta-tree position under batch
-    validation) is a non-empty path rooted at "anchor";
+  * a verdict's optional `node` (its delta-tree position; absent when the
+    full-verify oracle scored it) is a non-empty path rooted at "anchor";
   * an annotated `smt` event (symbolic queries) is internally consistent:
     every `model_delta` key names a variable in `vars`, and a
     `model_delta` may only appear on a sat query alongside `vars`.

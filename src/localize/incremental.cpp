@@ -6,7 +6,7 @@
 
 #include "dataplane/trace.hpp"
 #include "localize/coverage.hpp"
-#include "routing/delta.hpp"
+#include "routing/delta_tree.hpp"
 #include "util/metrics.hpp"
 #include "verify/failures.hpp"
 
@@ -144,15 +144,14 @@ LocalizeOutcome LocalizeCache::localizeAgainst(
 
   LocalizeOutcome out;
   const auto sim_started = Clock::now();
-  route::DeltaStats stats;
-  out.sim = route::DeltaSimulator(anchor.network, anchor.sim)
-                .run(network, changed_devices, options_, &stats);
+  route::TreeLeafStats stats;
+  out.sim = route::DeltaTree(anchor.network, anchor.sim, options_)
+                .run(network, changed_devices, &stats);
   out.sim_ms = msSince(sim_started);
   if (!stats.used_delta) {
     // The delta premise broke (fallback rule fired): the full engine
-    // already ran inside DeltaSimulator, so only the suite remains.
-    out.sim_kind =
-        stats.fallback_reason.empty() ? "full" : stats.fallback_reason;
+    // already ran inside the delta tree, so only the suite remains.
+    out.sim_kind = stats.fallback_reason;
     fullSuite(network, out);
     return out;
   }
@@ -180,7 +179,7 @@ LocalizeOutcome LocalizeCache::localizeAgainst(
     }
   }
   std::map<std::string, std::vector<net::Prefix>> dirty_cells;
-  for (const auto& [router, prefix] : stats.changed_cells) {
+  for (const auto& [router, prefix] : stats.changed_vs_anchor) {
     dirty_cells[router].push_back(prefix);
   }
   for (const auto& [router, prefix] : stats.dirty_chain_cells) {

@@ -9,9 +9,9 @@
 // canonical provenance, per-test outcomes, coverage rows (as bitsets over
 // interned line ids) and the assembled spectrum. A candidate is then:
 //
-//   1. simulated with route::DeltaSimulator off the anchor fixpoint, which
-//      forks the anchor's provenance graph copy-on-write and reports the
-//      exact dirty blast radius (changed cells + chain-dirty routers);
+//   1. simulated as a one-leaf route::DeltaTree off the anchor fixpoint,
+//      which forks the anchor's provenance graph copy-on-write and reports
+//      the exact dirty blast radius (changed cells + chain-dirty cells);
 //   2. probed selectively: a cached test is reused — outcome AND coverage
 //      row — when its recorded read set (trace hops, destination owner,
 //      explainAbsence consulted routers) avoids every dirty router;
@@ -56,7 +56,7 @@ struct LocalizeOutcome {
   /// Per-test covered lines, parallel to `results` (the RepairContext view).
   std::vector<CoverageRow> coverage;
   Spectrum spectrum;
-  /// "anchor" (anchor build), "delta" (incremental path), a DeltaSimulator
+  /// "anchor" (anchor build), "delta" (incremental path), a delta-tree
   /// fallback reason, or "full" (anchor unusable).
   std::string sim_kind;
   std::size_t probe_hits = 0;    // tests served from the anchor

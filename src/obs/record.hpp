@@ -65,9 +65,9 @@ class FlightRecorder {
                 const std::vector<std::pair<std::string, std::string>>& model,
                 const std::string& conflict,
                 const std::vector<SmtVar>& vars = {});
-  /// `node` is the candidate's delta-tree node path under batch validation
-  /// ("anchor[/base devices]/leaf devices"); empty (omitted from the event)
-  /// when the probe ran outside a tree (crossover, batch_validate off).
+  /// `node` is the candidate's delta-tree node path ("anchor[/base
+  /// devices]/leaf devices"); empty (omitted from the event) when the
+  /// full-verify oracle scored it (use_incremental off).
   void verdict(int iteration, int candidate, const std::string& tmpl,
                const std::string& description, double fitness, bool accepted,
                const std::string& sim, int tests_reverified, int tests_skipped,

@@ -179,50 +179,27 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                                      localize_options, options_.multipath);
 
   // Fitness (= number of failing tests) plus the verifier work it cost.
-  // `verifier` is the incremental verifier to probe — the main one on the
-  // sequential path, a worker's own clone under the VALIDATE fan-out.
-  // probe() never touches the verifier's cache, so every evaluation is an
-  // independent pure function of the anchor state.
   struct Score {
     int fitness = 0;
     std::uint64_t tests_reverified = 0;
     std::uint64_t tests_skipped = 0;
-    /// How the probe simulated: "delta" ("delta-tree" under batch
-    /// validation), a fallback-rule reason, or "full-verify". A pure
-    /// function of the anchor state, so identical whether computed
-    /// sequentially or by a fan-out worker.
+    /// How the probe simulated: "delta-tree", a fallback-rule reason, or
+    /// "full-verify" (use_incremental off). A pure function of the anchor
+    /// state, so identical whether computed sequentially or by a fan-out
+    /// worker.
     std::string sim;
-    /// Delta-tree node path under batch validation, empty otherwise.
+    /// Delta-tree node path, empty for the full-verify oracle.
     std::string node;
   };
+  // The one candidate-scoring path, shared by VALIDATE (sequential and fan-
+  // out) and crossover: a probe of a CandidateBatch over the anchor
+  // verifier. A probe never touches the verifier, so every evaluation is an
+  // independent pure function of (anchor, base, candidate) — safe on fan-out
+  // workers, each growing its own batch.
   const auto evaluate = [&](const topo::Network& updated,
-                            verify::IncrementalVerifier& verifier) -> Score {
-    Score score;
-    if (options_.use_incremental) {
-      const auto before = verifier.stats();
-      const verify::VerifyResult verdict = verifier.probe(updated);
-      const auto after = verifier.stats();
-      score.tests_reverified =
-          after.tests_reverified - before.tests_reverified;
-      score.tests_skipped = after.tests_skipped - before.tests_skipped;
-      score.fitness = verdict.tests_failed + toleranceFailures(updated);
-      score.sim = verifier.lastSim();
-      return score;
-    }
-    const verify::Verifier full(intents_, validate_options, options_.multipath);
-    const verify::VerifyResult verdict =
-        full.verify(updated, options_.samples_per_intent);
-    score.tests_reverified = static_cast<std::uint64_t>(verdict.tests_run);
-    score.fitness = verdict.tests_failed + toleranceFailures(updated);
-    score.sim = "full-verify";
-    return score;
-  };
-  // Batch evaluation: one probe against a shared delta tree instead of an
-  // independent verifier probe. Same score, cheaper simulation.
-  const auto evaluateBatch = [&](const topo::Network& updated,
-                                 verify::CandidateBatch& batch) -> Score {
-    Score score;
+                            verify::CandidateBatch& batch) -> Score {
     const verify::CandidateBatch::Probe probe = batch.probe(updated);
+    Score score;
     score.tests_reverified =
         static_cast<std::uint64_t>(probe.tests_reverified);
     score.tests_skipped = static_cast<std::uint64_t>(probe.tests_skipped);
@@ -231,16 +208,18 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     score.node = probe.node;
     return score;
   };
-  // Accounting wrapper for the sequential call sites (lazy scan, crossover).
-  const auto scoreOf = [&](const topo::Network& updated) -> Score {
+  const auto account = [&](const Score& score) {
     ++result.validations;
-    const Score score = evaluate(updated, main_verifier);
     result.tests_reverified += score.tests_reverified;
     result.tests_skipped += score.tests_skipped;
-    return score;
   };
-  const bool batch_validate =
-      options_.batch_validate && options_.use_incremental;
+  // With batch_validate a round's candidates share its population candidate
+  // as the tree base; without, every leaf forks off the verifier's anchor.
+  const auto baseFor =
+      [&](const topo::Network& candidate) -> const topo::Network& {
+    return options_.batch_validate ? candidate
+                                   : *main_verifier.cachedNetwork();
+  };
   const int validate_jobs = util::resolveJobs(options_.validate_jobs);
   // Raised by the validation scan / crossover loop when the cancel flag
   // trips between candidates — a running VALIDATE round stops at the next
@@ -480,13 +459,15 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
             }
             const int n = static_cast<int>(applied.size());
 
-            // Fan-out: speculatively score all applied proposals on
-            // `validate_jobs` workers, each chunk probing its own clone of
-            // the anchor verifier. The scan below consumes scores in
-            // proposal order exactly like the sequential path, so
-            // evaluations past the round's winner are discarded wall-clock,
-            // never a behavior change — results (including every counter)
-            // are byte-identical at any `validate_jobs`.
+            // Every applied proposal is a leaf of a candidate batch over
+            // `base`. Fan-out only splits the leaves into chunks, one batch
+            // per chunk, scored speculatively on `validate_jobs` workers;
+            // the scan below consumes scores in proposal order exactly like
+            // the sequential path, so evaluations past the round's winner
+            // are discarded wall-clock, never a behavior change — results
+            // (including every counter) are byte-identical at any
+            // `validate_jobs`.
+            const topo::Network& base = baseFor(candidate.network);
             std::vector<Score> scores;
             const bool fan_out = validate_jobs > 1 && n > 1;
             if (fan_out) {
@@ -497,28 +478,18 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                 // captured at submit — even though this runs on a worker.
                 obs::Span worker_span("validate.worker");
                 worker_span.attr("chunk", static_cast<std::int64_t>(chunk));
-                verify::IncrementalVerifier local = main_verifier;
-                if (batch_validate) {
-                  // Each chunk grows its own delta tree over the shared
-                  // base (this candidate's network): probes stay pure
-                  // functions of (anchor, base, proposal), so chunking
-                  // never changes a score.
-                  verify::CandidateBatch batch(local, candidate.network);
-                  for (int i = chunk; i < n; i += chunks) {
-                    scores[static_cast<std::size_t>(i)] = evaluateBatch(
-                        updated[static_cast<std::size_t>(i)], batch);
-                  }
-                } else {
-                  for (int i = chunk; i < n; i += chunks) {
-                    scores[static_cast<std::size_t>(i)] =
-                        evaluate(updated[static_cast<std::size_t>(i)], local);
-                  }
+                verify::CandidateBatch batch(main_verifier, base,
+                                             options_.use_incremental);
+                for (int i = chunk; i < n; i += chunks) {
+                  scores[static_cast<std::size_t>(i)] =
+                      evaluate(updated[static_cast<std::size_t>(i)], batch);
                 }
               });
             }
-            // Sequential batch: built lazily so the scan's early exits
-            // (repair found, cancellation) skip the base propagation too.
-            std::optional<verify::CandidateBatch> seq_batch;
+            // Sequential: one chunk, scored lazily in the scan so its early
+            // exits (repair found, cancellation) skip the base propagation
+            // and every candidate past the winner.
+            std::optional<verify::CandidateBatch> batch;
 
             for (int i = 0; i < n && !repaired; ++i) {
               // Cooperative cancellation between candidates: a remote
@@ -535,24 +506,14 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
               if (options_.history != nullptr) {
                 options_.history->recordAttempt(proposal.template_name);
               }
-              Score score;
-              if (fan_out) {
-                score = scores[static_cast<std::size_t>(i)];
-                ++result.validations;
-                result.tests_reverified += score.tests_reverified;
-                result.tests_skipped += score.tests_skipped;
-              } else if (batch_validate) {
-                if (!seq_batch) {
-                  seq_batch.emplace(main_verifier, candidate.network);
-                }
-                score = evaluateBatch(updated[static_cast<std::size_t>(i)],
-                                      *seq_batch);
-                ++result.validations;
-                result.tests_reverified += score.tests_reverified;
-                result.tests_skipped += score.tests_skipped;
-              } else {
-                score = scoreOf(updated[static_cast<std::size_t>(i)]);
+              if (!fan_out && !batch) {
+                batch.emplace(main_verifier, base, options_.use_incremental);
               }
+              const Score score =
+                  fan_out ? scores[static_cast<std::size_t>(i)]
+                          : evaluate(updated[static_cast<std::size_t>(i)],
+                                     *batch);
+              account(score);
               const int fitness = score.fitness;
               // The paper's fitness rule: discard updates whose fitness
               // exceeds the previous iteration's.
@@ -617,6 +578,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
       obs::Span crossover_span("crossover");
       int crossover_produced = 0;
       std::vector<Candidate> children;
+      std::optional<verify::CandidateBatch> crossover_batch;
       std::uniform_int_distribution<std::size_t> pick(
           0, next_population.size() - 1);
       for (int pair = 0; pair < options_.crossover_pairs; ++pair) {
@@ -658,7 +620,14 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
         }
         ++stats.candidates_generated;
         ++crossover_produced;
-        const Score child_score = scoreOf(child.network);
+        // Children replay changes onto the faulty network, so they share no
+        // base: their leaves fork off the anchor.
+        if (!crossover_batch) {
+          crossover_batch.emplace(main_verifier, *main_verifier.cachedNetwork(),
+                                  options_.use_incremental);
+        }
+        const Score child_score = evaluate(child.network, *crossover_batch);
+        account(child_score);
         child.fitness = child_score.fitness;
         if (recorder != nullptr) {
           recorder->verdict(iteration, -1 - pair, "crossover",
@@ -667,7 +636,8 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                             child.fitness <= previous_fitness,
                             child_score.sim,
                             static_cast<int>(child_score.tests_reverified),
-                            static_cast<int>(child_score.tests_skipped));
+                            static_cast<int>(child_score.tests_skipped),
+                            child_score.node);
         }
         if (child.fitness > previous_fitness) continue;
         if (child.fitness == 0) {

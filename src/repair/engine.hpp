@@ -42,7 +42,12 @@ struct RepairOptions {
   int max_proposals_per_line = 4;
   int samples_per_intent = 1;
   std::uint64_t seed = 1;
-  bool use_incremental = true;  // DNA-style differential validation
+  /// DNA-style differential validation. Off, every candidate is scored by
+  /// the full-verification oracle (a from-scratch simulation and the whole
+  /// suite). An ablation hook for e2ebench and the identity tests: the
+  /// search, counters and recordings (apart from verdict `sim`/`node`
+  /// labels) are identical either way.
+  bool use_incremental = true;
   bool brute_force = false;     // ablation: all templates on all top lines
   /// §4.2's genetic single-point crossover: recombine the change sequences
   /// of two surviving candidates into extra candidates each iteration.
@@ -97,15 +102,14 @@ struct RepairOptions {
   /// are speculative work that is simply discarded. Defaults to 1 because
   /// the campaign runner already parallelizes at incident granularity.
   int validate_jobs = 1;
-  /// Cross-candidate batch evaluation (docs/architecture.md §14): VALIDATE
-  /// evaluates each round's candidates as leaves of a shared delta tree
-  /// (verify::CandidateBatch) — the candidates' common edit prefix is
-  /// propagated once and each candidate forks off it via copy-on-write RIB
-  /// undo logs, instead of re-propagating from the anchor per candidate.
-  /// Semantics-preserving: verdicts, fitness and every counter are
-  /// identical with the flag off; only the recorded `sim` label
-  /// ("delta-tree" vs "delta") and per-verdict `node` path differ. Only
-  /// effective with use_incremental.
+  /// Cross-candidate batch evaluation (docs/architecture.md §12): VALIDATE
+  /// scores each round's candidates as leaves of a delta tree whose base is
+  /// the population candidate they fork from, so their common edit prefix
+  /// is propagated once. Off, the leaves fork off the verifier's anchor.
+  /// An ablation hook for e2ebench and the identity tests: verdicts,
+  /// fitness and every counter are identical either way; only the
+  /// recorded per-verdict `node` path differs. Only effective with
+  /// use_incremental.
   bool batch_validate = true;
   route::SimOptions sim_options;
   /// Optional pre-converged simulation of the faulty network (e.g. the acrd

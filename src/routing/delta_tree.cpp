@@ -15,17 +15,6 @@
 
 namespace acr::route {
 
-namespace {
-
-/// Field-wise equality of one session (sameSessions() is the vector form).
-bool sameSession(const Session& a, const Session& b) {
-  return a.a == b.a && a.b == b.b && a.a_address == b.a_address &&
-         a.b_address == b.b_address && a.up == b.up &&
-         a.down_reason == b.down_reason;
-}
-
-}  // namespace
-
 struct DeltaTree::Impl {
   const topo::Network& anchor_network;
   const SimResult& anchor;
@@ -57,9 +46,13 @@ struct DeltaTree::Impl {
   /// Devices on which the base differs from the anchor — a leaf's dirty
   /// devices vs. the anchor are these plus its own changed_vs_base.
   std::vector<std::string> base_changed_devices;
+  /// The current leaf's flow patches and the slot values they replaced.
+  std::deque<detail::Flow> leaf_patch_storage;
+  std::vector<std::pair<std::size_t, const detail::Flow*>> leaf_saved_slots;
 
-  /// The one working state, forked copy-on-write. Masked like the
-  /// DeltaSimulator's seed (no derivations; ECMP per options).
+  /// The one working state: the anchor fixpoint forked copy-on-write,
+  /// masked per options (derivation ids only with provenance, ECMP sets
+  /// only when requested).
   SimResult view;
   std::uint64_t hash = 0;       // incremental state hash of view.rib
   std::uint64_t node_hash = 0;  // checkpoint at the base fixpoint
@@ -160,7 +153,7 @@ struct DeltaTree::Impl {
         continue;
       }
       const Session fresh = detail::sessionForLink(network, links[i]);
-      if (!sameSession(fresh, anchor.sessions[i])) {
+      if (!detail::sameSession(fresh, anchor.sessions[i])) {
         return "session-state-changed";
       }
       if (anchor.sessions[i].up) up_touched.push_back(i);
@@ -193,14 +186,14 @@ struct DeltaTree::Impl {
 
   /// One propagation segment from the current fixpoint: recomputes
   /// `changed` devices (and their session neighbors) wholesale, then
-  /// propagates dirty (router, prefix) work items to a new fixpoint —
-  /// exactly the DeltaSimulator round loop, but committing into the shared
-  /// working state with first-touch page/cell recording. Returns the
-  /// fallback reason on failure (the caller rolls back), empty on success.
+  /// propagates dirty (router, prefix) work items in Jacobi rounds
+  /// (collect, then commit) to a new fixpoint, committing into the shared
+  /// working state with first-touch page/cell recording. Fills the rounds,
+  /// work-item and dirty-prefix counts of `stats`. Returns the fallback
+  /// reason on failure (the caller rolls back), empty on success.
   [[nodiscard]] std::string propagate(const topo::Network& network,
                                       const std::vector<std::string>& changed,
-                                      Level& level, int& rounds_out,
-                                      std::size_t& work_items_out) {
+                                      Level& level, TreeLeafStats& stats) {
     Rib& bests = view.rib;
     const std::size_t router_count = routerCount();
 
@@ -221,6 +214,10 @@ struct DeltaTree::Impl {
       return locals[idx];
     };
 
+    // Seed: changed devices and their session neighbors recompute
+    // wholesale — their locals, redistribution and policy bindings may have
+    // changed in ways the current routing state cannot witness. Everything
+    // else enters the dirty set only when a neighbor's best route changes.
     std::set<int> seeds;
     for (const std::string& device : changed) {
       const int rid = tables->routers.idOf(device);
@@ -232,6 +229,8 @@ struct DeltaTree::Impl {
       }
     }
 
+    // Dirty (router, prefix) work lists for the next round, deduplicated by
+    // an epoch stamp per cell.
     std::vector<std::vector<PrefixId>> dirty_pids(router_count);
     std::vector<std::vector<PrefixId>> next_pids(router_count);
     std::vector<int> dirty_rids;
@@ -254,6 +253,19 @@ struct DeltaTree::Impl {
       next_pids[static_cast<std::size_t>(rid)].push_back(pid);
     };
 
+    // Distinct-prefix stat, tracked by a grow-on-demand bitmap.
+    std::vector<std::uint8_t> prefix_seen;
+    const auto recomputed = [&](PrefixId pid) {
+      ++stats.work_items;
+      if (prefix_seen.size() < tables->prefixes.size()) {
+        prefix_seen.resize(tables->prefixes.size(), 0);
+      }
+      if (prefix_seen[pid] == 0) {
+        prefix_seen[pid] = 1;
+        ++stats.dirty_prefixes;
+      }
+    };
+
     struct Update {
       int rid = 0;
       PrefixId pid = 0;
@@ -266,7 +278,7 @@ struct DeltaTree::Impl {
     EcmpSet ecmp_scratch;
 
     const auto recomputePrefix = [&](int rid, PrefixId pid) {
-      ++work_items_out;
+      recomputed(pid);
       const auto& local_list = localsOf(rid);
       board.growUniverse(tables->prefixes.size());
       for (const detail::PackedLocal& local : local_list) {
@@ -320,7 +332,7 @@ struct DeltaTree::Impl {
         }
       }
       for (const PrefixId pid : board.touched(rid)) {
-        ++work_items_out;
+        recomputed(pid);
         RouteEntry selected;
         const bool present = board.select(
             rid, pid, better, options.enable_ecmp, selected, ecmp_scratch);
@@ -335,7 +347,7 @@ struct DeltaTree::Impl {
       for (PrefixId pid = 0; pid < own->entries.size(); ++pid) {
         if (own->entries[pid].present == 0) continue;
         if (board.touchedThisRound(rid, pid)) continue;
-        ++work_items_out;
+        recomputed(pid);
         updates.push_back(Update{rid, pid, RouteEntry{}, false, true});
         update_ecmp.emplace_back();
       }
@@ -428,6 +440,9 @@ struct DeltaTree::Impl {
         converged = true;
         break;
       }
+      // A repeated non-fixpoint state means the network oscillates. The
+      // full engine's representative rib and flapping window depend on its
+      // orbit from round 0, which a fixpoint-seeded orbit cannot replay.
       bool repeated = false;
       for (const auto& [seen_hash, seen_round] : hash_history) {
         if (seen_hash == hash) {
@@ -439,16 +454,17 @@ struct DeltaTree::Impl {
       hash_history.emplace_back(hash, round);
     }
     if (!converged) return "delta-round-cap";
-    rounds_out = round;
+    stats.rounds = round;
     return {};
   }
 
-  /// Per-leaf canonical provenance (the DeltaSimulator pass, undo-logged):
-  /// forks the anchor's frozen graph, rebuilds derivations along
-  /// chain-dirty cells only, and patches them through the leaf undo log so
+  /// Per-leaf canonical provenance: forks the anchor's frozen graph,
+  /// rebuilds derivations along chain-dirty cells only — cells whose own
+  /// state changed, whose device was edited, or whose derivation chain
+  /// crosses such a cell — and patches them through the leaf undo log so
   /// they roll back with the leaf. On success `view.provenance` carries the
-  /// leaf's forked graph (the caller clears it after the visit); returns
-  /// the fallback reason on failure, empty on success.
+  /// leaf's forked graph; returns the fallback reason on failure, empty on
+  /// success.
   [[nodiscard]] std::string canonicalizeLeafProvenance(
       const topo::Network& network,
       const std::vector<std::string>& changed_vs_base,
@@ -499,12 +515,15 @@ struct DeltaTree::Impl {
         if (view.rib.entryAt(static_cast<int>(rid), pid) == nullptr) continue;
         prov::DerivationId id = prov::kNoDerivation;
         if (!rebuilder.canonicalize(static_cast<int>(rid), pid, id)) {
+          // The fixpoint could not be reproduced from the configs (e.g. a
+          // policy masked the edit away) — identity over cleverness.
           return "provenance-divergence";
         }
       }
     }
     // Patch fresh ids only after every cell succeeded, each one through
     // the leaf undo log so it rolls back with the leaf.
+    std::vector<std::pair<int, PrefixId>> chain_dirty;
     for (const PrefixId pid : affected_pids) {
       for (std::size_t rid = 0; rid < router_count; ++rid) {
         const RouteEntry* entry = view.rib.entryAt(static_cast<int>(rid), pid);
@@ -512,6 +531,7 @@ struct DeltaTree::Impl {
         const prov::DerivationId id =
             rebuilder.idOf(static_cast<int>(rid), pid);
         if (id == entry->derivation) continue;
+        chain_dirty.emplace_back(static_cast<int>(rid), pid);
         recordTouch(leaf_level, static_cast<int>(rid), pid);
         RouteEntry patched = *entry;
         patched.derivation = id;
@@ -524,6 +544,12 @@ struct DeltaTree::Impl {
                      ecmp != nullptr ? &ecmp_copy : nullptr);
       }
     }
+    std::sort(chain_dirty.begin(), chain_dirty.end());
+    stats.dirty_chain_cells.reserve(chain_dirty.size());
+    for (const auto& [rid, pid] : chain_dirty) {
+      stats.dirty_chain_cells.emplace_back(tables->routers.nameOf(rid),
+                                           tables->prefixes.prefixOf(pid));
+    }
     stats.fresh_derivations = rebuilder.freshCount();
     std::size_t total_routes = 0;
     for (std::size_t rid = 0; rid < router_count; ++rid) {
@@ -534,6 +560,105 @@ struct DeltaTree::Impl {
         total_routes - std::min(total_routes, stats.fresh_derivations);
     view.provenance = std::move(graph);
     return {};
+  }
+
+  /// Applies one leaf on top of the base node: leaf-level precondition
+  /// checks, flow patches, propagation, the exact anchor diff and (with
+  /// provenance) the canonical derivations. On success the working state
+  /// holds the leaf's fixpoint and `stats` describes it; on failure the
+  /// state is back at the base node and the fallback reason is returned.
+  [[nodiscard]] std::string enterLeaf(
+      const topo::Network& network,
+      const std::vector<std::string>& changed_vs_base, TreeLeafStats& stats) {
+    if (!disabled_reason.empty()) return disabled_reason;
+
+    const std::set<std::string> changed(changed_vs_base.begin(),
+                                        changed_vs_base.end());
+    std::vector<std::size_t> up_touched;
+    std::string reason = checkAgainstAnchor(network, changed, up_touched);
+    if (!reason.empty()) return reason;
+
+    patchFlows(network, up_touched, leaf_patch_storage, &leaf_saved_slots);
+    reason = propagate(network, changed_vs_base, leaf_level, stats);
+    if (!reason.empty()) {
+      leaveLeaf();
+      return reason;
+    }
+    stats.used_delta = true;
+    stats.undo_entries = leaf_level.touched.size();
+
+    // Exact leaf-vs-anchor RIB diff from the touch lists: every cell either
+    // tree level wrote, compared against the pristine anchor pages (saved
+    // page pointers keep them intact). No RIB sweep is needed.
+    std::vector<std::pair<int, PrefixId>> keys = node_level.touched;
+    for (const auto& [rid, pid] : leaf_level.touched) {
+      const auto& node_grid =
+          node_level.touch_grid[static_cast<std::size_t>(rid)];
+      if (pid < node_grid.size() && node_grid[pid] != 0) continue;
+      keys.emplace_back(rid, pid);
+    }
+    std::vector<std::tuple<int, net::Prefix, PrefixId>> changed_cells;
+    for (const auto& [rid, pid] : keys) {
+      const RouteEntry* anchor_entry = anchor.rib.entryAt(rid, pid);
+      const RouteEntry* current = view.rib.entryAt(rid, pid);
+      const bool same = current == nullptr
+                            ? anchor_entry == nullptr
+                            : anchor_entry != nullptr &&
+                                  sameEntryState(*anchor_entry, *current);
+      if (!same) {
+        changed_cells.emplace_back(rid, tables->prefixes.prefixOf(pid), pid);
+      }
+    }
+    std::sort(changed_cells.begin(), changed_cells.end(),
+              [](const auto& a, const auto& b) {
+                return std::get<0>(a) != std::get<0>(b)
+                           ? std::get<0>(a) < std::get<0>(b)
+                           : std::get<1>(a) < std::get<1>(b);
+              });
+    stats.changed_vs_anchor.reserve(changed_cells.size());
+    for (const auto& [rid, prefix, pid] : changed_cells) {
+      stats.changed_vs_anchor.emplace_back(tables->routers.nameOf(rid),
+                                           prefix);
+    }
+
+    if (options.record_provenance) {
+      reason = canonicalizeLeafProvenance(network, changed_vs_base,
+                                          changed_cells, stats);
+      if (!reason.empty()) {
+        leaveLeaf();
+        return reason;
+      }
+    }
+
+    view.dropLookupPages(touchedRouters(leaf_level));
+    view.rounds = stats.rounds;
+    // COW page reuse: only first-touched pages were cloned for this leaf.
+    util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+    const std::size_t cloned = leaf_level.saved_pages.size();
+    metrics.counter("sim.layout.pages_cloned").add(cloned);
+    metrics.counter("sim.layout.pages_reused").add(view.rib.size() - cloned);
+    return {};
+  }
+
+  /// Rolls the working state back from the current leaf to the base node.
+  void leaveLeaf() {
+    view.provenance.clear();  // the leaf's fork dies with the leaf
+    rollback(leaf_level, node_hash);
+    for (const auto& [slot, flow] : leaf_saved_slots) effective[slot] = flow;
+    leaf_saved_slots.clear();
+    leaf_patch_storage.clear();
+  }
+
+  /// Labels a leaf that fell back to the full engine: span attribute,
+  /// per-rule `<family>.fallback.<reason>` counter, and fresh stats.
+  static void fallBack(obs::Span& span, const std::string& family,
+                       std::string reason, TreeLeafStats& stats) {
+    span.attr("fallback", reason);
+    util::MetricsRegistry::global()
+        .counter(family + ".fallback." + reason)
+        .add(1);
+    stats = TreeLeafStats{};
+    stats.fallback_reason = std::move(reason);
   }
 };
 
@@ -546,23 +671,27 @@ DeltaTree::DeltaTree(const topo::Network& anchor_network,
     impl_->disabled_reason = std::move(reason);
   };
 
-  // Anchor-level preconditions — the DeltaSimulator's first fallback rules,
-  // checked once per tree instead of once per candidate.
+  // Anchor-level preconditions, checked once per tree. A converged anchor
+  // carries a canonical fixpoint provenance graph (sim_engine.hpp) that
+  // provenance-recording leaves fork copy-on-write; an anchor recorded
+  // without provenance — or one whose rib masks its derivation ids — has
+  // nothing to fork.
   if (options.record_provenance &&
       (anchor.provenance.empty() || !anchor.rib.showsDerivations())) {
     disable("provenance-anchor-missing");
     return;
   }
+  // The anchor state is only a valid starting point if it is a fixpoint.
+  // Converged results always come from an engine, so they carry interned
+  // pages to fork.
   if (!anchor.converged) {
     disable("baseline-not-converged");
     return;
   }
-  if (anchor.rib.tables() == nullptr) {
-    disable("baseline-unpaged");
-    return;
-  }
-  // With ECMP recording on, every present BGP best of a matching anchor
-  // carries a non-empty effective set (it contains at least the winner).
+  // An ECMP run seeded from an anchor that did not record equal-cost sets
+  // cannot patch them in locally. With recording on, every present BGP
+  // best of a matching anchor carries a non-empty effective set (it
+  // contains at least the winner).
   if (options.enable_ecmp) {
     const bool shows = anchor.rib.showsEcmp();
     const std::size_t router_count = anchor.rib.tables()->routers.names.size();
@@ -580,8 +709,13 @@ DeltaTree::DeltaTree(const topo::Network& anchor_network,
   }
 
   // Working state: the anchor fixpoint forked copy-on-write onto cloned
-  // tables, masked exactly like the DeltaSimulator's seed (derivations
-  // point into the anchor's provenance graph; ECMP sets show per options).
+  // tables — O(routers) page-pointer copies, pages cloned lazily at first
+  // write. The cloned tables pin the anchor's ids (append-only growth for
+  // any new prefixes an edit introduces), so anchor pages are valid
+  // verbatim. With provenance on, derivation ids stay visible: they index
+  // the anchor graph a leaf forks, so untouched entries reuse anchor
+  // derivations byte-for-byte. ECMP sets may be absent from the options —
+  // derived state, masked instead of scrubbed.
   impl_->tables = std::make_shared<SimTables>(*anchor.rib.tables());
   impl_->view.rib = anchor.rib;
   impl_->view.rib.setTables(impl_->tables);
@@ -636,15 +770,14 @@ void DeltaTree::setBase(const topo::Network& base,
   std::string reason = impl_->checkAgainstAnchor(base, changed, up_touched);
   if (reason.empty()) {
     impl_->patchFlows(base, up_touched, impl_->node_patch_storage, nullptr);
-    int rounds = 0;
-    std::size_t work_items = 0;
+    TreeLeafStats node_stats;
     reason = impl_->propagate(base, changed_vs_anchor, impl_->node_level,
-                              rounds, work_items);
-    metrics.counter("sim.tree.node_work_items").add(work_items);
+                              node_stats);
+    metrics.counter("sim.tree.node_work_items").add(node_stats.work_items);
     if (reason.empty()) {
       impl_->view.dropLookupPages(impl_->touchedRouters(impl_->node_level));
       impl_->node_hash = impl_->hash;
-      span.attr("rounds", std::to_string(rounds));
+      span.attr("rounds", std::to_string(node_stats.rounds));
       return;
     }
     impl_->rollback(impl_->node_level, impl_->node_hash);
@@ -666,115 +799,58 @@ void DeltaTree::leaf(const topo::Network& network,
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   metrics.counter("sim.tree.leaves").add(1);
 
-  const auto fallback = [&](std::string reason) {
-    span.attr("fallback", reason);
-    metrics.counter("sim.tree.fallback." + reason).add(1);
-    TreeLeafStats stats;
-    stats.used_delta = false;
-    stats.fallback_reason = std::move(reason);
-    const SimResult full = Simulator(network).run(impl_->options);
-    visit(full, stats);
-  };
-
-  if (!usable()) return fallback(impl_->disabled_reason);
-
-  // Leaf-level preconditions: a violation degrades this leaf only.
-  const std::set<std::string> changed(changed_vs_base.begin(),
-                                      changed_vs_base.end());
-  std::vector<std::size_t> up_touched;
-  std::string reason = impl_->checkAgainstAnchor(network, changed, up_touched);
-  if (!reason.empty()) return fallback(reason);
-
-  std::deque<detail::Flow> leaf_patch_storage;
-  std::vector<std::pair<std::size_t, const detail::Flow*>> saved_slots;
-  impl_->patchFlows(network, up_touched, leaf_patch_storage, &saved_slots);
-  const auto restoreSlots = [&] {
-    for (const auto& [slot, flow] : saved_slots) impl_->effective[slot] = flow;
-  };
-
   TreeLeafStats stats;
-  reason = impl_->propagate(network, changed_vs_base, impl_->leaf_level,
-                            stats.rounds, stats.work_items);
+  std::string reason = impl_->enterLeaf(network, changed_vs_base, stats);
   if (!reason.empty()) {
-    impl_->rollback(impl_->leaf_level, impl_->node_hash);
-    restoreSlots();
-    return fallback(reason);
+    Impl::fallBack(span, "sim.tree", std::move(reason), stats);
+    visit(Simulator(network).run(impl_->options), stats);
+    return;
   }
-
-  stats.used_delta = true;
-  stats.undo_entries = impl_->leaf_level.touched.size();
-
-  // Exact leaf-vs-anchor RIB diff from the touch lists: every cell either
-  // tree level wrote, compared against the pristine anchor pages (saved
-  // page pointers keep them intact). No RIB sweep is needed.
-  std::vector<std::pair<int, PrefixId>> keys = impl_->node_level.touched;
-  for (const auto& [rid, pid] : impl_->leaf_level.touched) {
-    const auto& node_grid =
-        impl_->node_level.touch_grid[static_cast<std::size_t>(rid)];
-    if (pid < node_grid.size() && node_grid[pid] != 0) continue;
-    keys.emplace_back(rid, pid);
-  }
-  std::vector<std::tuple<int, net::Prefix, PrefixId>> changed_cells;
-  for (const auto& [rid, pid] : keys) {
-    const RouteEntry* anchor_entry = impl_->anchor.rib.entryAt(rid, pid);
-    const RouteEntry* current = impl_->view.rib.entryAt(rid, pid);
-    const bool same =
-        current == nullptr
-            ? anchor_entry == nullptr
-            : anchor_entry != nullptr &&
-                  sameEntryState(*anchor_entry, *current);
-    if (!same) {
-      changed_cells.emplace_back(rid, impl_->tables->prefixes.prefixOf(pid),
-                                 pid);
-    }
-  }
-  std::sort(changed_cells.begin(), changed_cells.end(),
-            [](const auto& a, const auto& b) {
-              return std::get<0>(a) != std::get<0>(b)
-                         ? std::get<0>(a) < std::get<0>(b)
-                         : std::get<1>(a) < std::get<1>(b);
-            });
-  stats.changed_vs_anchor.reserve(changed_cells.size());
-  for (const auto& [rid, prefix, pid] : changed_cells) {
-    stats.changed_vs_anchor.emplace_back(impl_->tables->routers.nameOf(rid),
-                                         prefix);
-  }
-
-  if (impl_->options.record_provenance) {
-    const std::string prov_reason = impl_->canonicalizeLeafProvenance(
-        network, changed_vs_base, changed_cells, stats);
-    if (!prov_reason.empty()) {
-      impl_->view.provenance.clear();
-      impl_->rollback(impl_->leaf_level, impl_->node_hash);
-      restoreSlots();
-      return fallback(prov_reason);
-    }
-    metrics.counter("sim.tree.derivations_fresh")
-        .add(stats.fresh_derivations);
-    metrics.counter("sim.tree.derivations_reused")
-        .add(stats.reused_derivations);
-  }
-
-  impl_->view.dropLookupPages(impl_->touchedRouters(impl_->leaf_level));
-  impl_->view.rounds = stats.rounds;
-
   metrics.counter("sim.tree.delta_leaves").add(1);
   metrics.counter("sim.tree.leaf_work_items").add(stats.work_items);
   metrics.counter("sim.tree.rounds")
       .add(static_cast<std::uint64_t>(stats.rounds));
   metrics.counter("sim.tree.undo_entries").add(stats.undo_entries);
-  // COW page reuse: only first-touched pages were cloned for this leaf.
-  const std::size_t cloned = impl_->leaf_level.saved_pages.size();
-  metrics.counter("sim.layout.pages_cloned").add(cloned);
-  metrics.counter("sim.layout.pages_reused").add(impl_->view.rib.size() -
-                                                 cloned);
+  if (impl_->options.record_provenance) {
+    metrics.counter("sim.tree.derivations_fresh").add(stats.fresh_derivations);
+    metrics.counter("sim.tree.derivations_reused")
+        .add(stats.reused_derivations);
+  }
   span.attr("rounds", std::to_string(stats.rounds));
 
   visit(impl_->view, stats);
+  impl_->leaveLeaf();
+}
 
-  impl_->view.provenance.clear();  // the leaf's fork dies with the leaf
-  impl_->rollback(impl_->leaf_level, impl_->node_hash);
-  restoreSlots();
+SimResult DeltaTree::run(const topo::Network& network,
+                         const std::vector<std::string>& changed_vs_base,
+                         TreeLeafStats* stats_out) && {
+  obs::Span span("sim.delta");
+  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+  metrics.counter("sim.delta.runs").add(1);
+
+  TreeLeafStats stats;
+  SimResult result;
+  std::string reason = impl_->enterLeaf(network, changed_vs_base, stats);
+  if (reason.empty()) {
+    metrics.counter("sim.delta.dirty_prefixes").add(stats.dirty_prefixes);
+    metrics.counter("sim.delta.work_items").add(stats.work_items);
+    metrics.counter("sim.delta.rounds")
+        .add(static_cast<std::uint64_t>(stats.rounds));
+    if (impl_->options.record_provenance) {
+      metrics.counter("sim.delta.derivations_fresh")
+          .add(stats.fresh_derivations);
+      metrics.counter("sim.delta.derivations_reused")
+          .add(stats.reused_derivations);
+      span.attr("derivations_fresh", std::to_string(stats.fresh_derivations));
+    }
+    result = std::move(impl_->view);
+  } else {
+    Impl::fallBack(span, "sim.delta", std::move(reason), stats);
+    result = Simulator(network).run(impl_->options);
+  }
+  if (stats_out != nullptr) *stats_out = std::move(stats);
+  return result;
 }
 
 }  // namespace acr::route

@@ -13,8 +13,8 @@
 //     an ECMP side-table (equal-cost sets exist only when recording is on
 //     and only for a few entries, so they stay out of the packed record).
 //   * `Rib` — the per-router page set behind `shared_ptr` copy-on-write:
-//     copying a Rib is O(routers) pointer copies, and the delta engines
-//     fork candidate states by saving/restoring page pointers instead of
+//     copying a Rib is O(routers) pointer copies, and the delta tree
+//     forks candidate states by saving/restoring page pointers instead of
 //     keeping per-entry undo maps. A page is cloned at first write only
 //     when it is shared.
 //
@@ -132,16 +132,6 @@ class Rib {
   [[nodiscard]] std::size_t totalRoutes() const;
   /// Bytes held by page entry arrays (sim.layout metrics).
   [[nodiscard]] std::size_t pageBytes() const;
-  /// Pages physically shared with `other` (same shared_ptr) — the COW
-  /// reuse a delta run achieved over its baseline (sim.layout metrics).
-  [[nodiscard]] std::size_t sharedPageCount(const Rib& other) const {
-    std::size_t shared = 0;
-    const std::size_t n = std::min(pages_.size(), other.pages_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pages_[i] != nullptr && pages_[i] == other.pages_[i]) ++shared;
-    }
-    return shared;
-  }
 
   /// Identity under the convergence semantics plus effective ECMP sets —
   /// what comparing every `Route::key()` and ecmp list used to check.

@@ -235,8 +235,8 @@ ProvenanceRebuilder::ProvenanceRebuilder(const topo::Network& network,
   memo_.resize(tables_.routers.names.size());
 }
 
-bool ProvenanceRebuilder::fail(const char* reason) {
-  if (failure_.empty()) failure_ = reason;
+bool ProvenanceRebuilder::fail() {
+  failed_ = true;
   return false;
 }
 
@@ -265,7 +265,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
     // A cycle is impossible for real chains (receiver-side loop prevention
     // makes learned_from a forest per prefix) — hitting one means state and
     // configs disagree.
-    if (cached == kCellInProgress) return fail("provenance-divergence");
+    if (cached == kCellInProgress) return fail();
     if (cached != kCellUnvisited) {
       out = cached;
       return true;
@@ -274,7 +274,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
   }
 
   const RouteEntry* entry = entry_at_(rid, pid);
-  if (entry == nullptr) return fail("provenance-divergence");
+  if (entry == nullptr) return fail();
   const std::string& name = tables_.routers.nameOf(rid);
   const net::Prefix& prefix = tables_.prefixes.prefixOf(pid);
   prov::DerivationId id = prov::kNoDerivation;
@@ -284,7 +284,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
     prov::DerivationId parent_id = prov::kNoDerivation;
     if (!canonicalize(entry->learned_from_id, pid, parent_id)) return false;
     const RouteEntry* parent = entry_at_(entry->learned_from_id, pid);
-    if (parent == nullptr) return fail("provenance-divergence");
+    if (parent == nullptr) return fail();
     // Clean parent chains return the parent's stored id unchanged; fresh
     // ids are appended past the anchor segment, so equality here means the
     // whole ancestor chain is clean.
@@ -298,7 +298,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
       // keep the last whose output state-matches the stored best (same-slot
       // staging overwrites, so the last writer is the recorded one).
       const auto it = flows_between_.find({entry->learned_from_id, rid});
-      if (it == flows_between_.end()) return fail("provenance-divergence");
+      if (it == flows_between_.end()) return fail();
       const Flow* chosen = nullptr;
       RouteEntry probe;
       for (const Flow* flow : it->second) {
@@ -308,11 +308,11 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
           chosen = flow;
         }
       }
-      if (chosen == nullptr) return fail("provenance-divergence");
+      if (chosen == nullptr) return fail();
       RouteEntry rebuilt;
       if (!announceEntryOnFlow(*chosen, pid, parent_input, tables_, &graph_,
                                nullptr, rebuilt)) {
-        return fail("provenance-divergence");
+        return fail();
       }
       id = rebuilt.derivation;
     }
@@ -324,7 +324,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
       // Reproduce the local origin the way packedLocalsFor records it:
       // interfaces then resolvable statics, last match wins.
       const cfg::DeviceConfig* device = network_.config(name);
-      if (device == nullptr) return fail("provenance-divergence");
+      if (device == nullptr) return fail();
       int line = -1;
       if (entry->source == RouteSource::kConnected) {
         for (const auto& itf : device->interfaces) {
@@ -343,7 +343,7 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
           }
         }
       }
-      if (line < 0) return fail("provenance-divergence");
+      if (line < 0) return fail();
       id = graph_.add(prov::Derivation{
           name, prefix, prov::kNoDerivation, {cfg::LineId{name, line}}});
     }

@@ -1,5 +1,5 @@
 // Packed round machinery shared by the full (`Simulator`) and incremental
-// (`DeltaSimulator`, `DeltaTree`) control-plane engines.
+// (`DeltaTree`) control-plane engines.
 //
 // This is the data-layout twin of sim_internal.hpp: the same per-round
 // transfer function — local-route origination, the announcement transform,
@@ -225,8 +225,7 @@ class ProvenanceRebuilder {
   /// then discard every id handed out so far.
   bool canonicalize(int rid, PrefixId pid, prov::DerivationId& out);
 
-  [[nodiscard]] bool failed() const { return !failure_.empty(); }
-  [[nodiscard]] const std::string& failureReason() const { return failure_; }
+  [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] std::size_t freshCount() const { return fresh_; }
   [[nodiscard]] std::size_t reusedCount() const { return reused_; }
   /// Memoized result of a prior canonicalize() (kNoDerivation when the
@@ -234,7 +233,7 @@ class ProvenanceRebuilder {
   [[nodiscard]] prov::DerivationId idOf(int rid, PrefixId pid) const;
 
  private:
-  bool fail(const char* reason);
+  bool fail();
   [[nodiscard]] std::vector<prov::DerivationId>& rowOf(int rid);
 
   const topo::Network& network_;
@@ -247,7 +246,7 @@ class ProvenanceRebuilder {
   /// board's same-slot overwrite semantics.
   std::map<std::pair<int, int>, std::vector<const Flow*>> flows_between_;
   std::vector<std::vector<prov::DerivationId>> memo_;  // by rid, by pid
-  std::string failure_;
+  bool failed_ = false;
   std::size_t fresh_ = 0;
   std::size_t reused_ = 0;
 };

@@ -108,17 +108,10 @@ bool sameTopologyShape(const topo::Topology& a, const topo::Topology& b) {
   return true;
 }
 
-bool sameSessions(const std::vector<Session>& a,
-                  const std::vector<Session>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].a != b[i].a || a[i].b != b[i].b ||
-        a[i].a_address != b[i].a_address || a[i].b_address != b[i].b_address ||
-        a[i].up != b[i].up || a[i].down_reason != b[i].down_reason) {
-      return false;
-    }
-  }
-  return true;
+bool sameSession(const Session& a, const Session& b) {
+  return a.a == b.a && a.b == b.b && a.a_address == b.a_address &&
+         a.b_address == b.b_address && a.up == b.up &&
+         a.down_reason == b.down_reason;
 }
 
 bool sameDeviceSet(const topo::Network& a, const topo::Network& b) {

@@ -1,7 +1,7 @@
-// Shared internals of the full (`Simulator`) and incremental
-// (`DeltaSimulator`, `DeltaTree`) control-plane engines: session
-// establishment, resolved session flows and the structural precondition
-// checks the incremental engines' fallback rules share.
+// Shared internals of the full (`Simulator`) and incremental (`DeltaTree`)
+// control-plane engines: session establishment, resolved session flows and
+// the structural precondition checks behind the incremental engine's
+// fallback rules.
 //
 // Both engine families must agree *byte for byte* on the per-round transfer
 // function; its packed implementation (candidate staging, the announcement
@@ -67,9 +67,6 @@ void appendFlowsForSession(const topo::Network& network,
                                      const topo::LinkDecl& link);
 
 // --- incremental-engine precondition checks (docs/architecture.md §12) ----
-// Shared by the DeltaSimulator's fallback rules and the DeltaTree's
-// tree/base/leaf checks, so both engines degrade on exactly the same
-// conditions.
 
 /// Structural topology equality as the simulator sees it: same routers
 /// (name, ASN, router-id — in order, since the dense router table interns
@@ -78,9 +75,8 @@ void appendFlowsForSession(const topo::Network& network,
 [[nodiscard]] bool sameTopologyShape(const topo::Topology& a,
                                      const topo::Topology& b);
 
-/// Same session table: endpoints, addresses, up/down state and reason.
-[[nodiscard]] bool sameSessions(const std::vector<Session>& a,
-                                const std::vector<Session>& b);
+/// Same session: endpoints, addresses, up/down state and reason.
+[[nodiscard]] bool sameSession(const Session& a, const Session& b);
 
 /// Same set of configured devices (map keys, in order).
 [[nodiscard]] bool sameDeviceSet(const topo::Network& a,

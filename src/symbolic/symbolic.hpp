@@ -23,8 +23,8 @@
 //   3. Each fork is an acr::smt conjunction (cross-variable propagation,
 //      minimal-model preference seeded with the original values); each sat
 //      model becomes one multi-device `ConfigChange` via
-//      fix::buildSymbolicModelChange, validated through the existing
-//      DeltaTree batch path.
+//      fix::buildSymbolicModelChange, scored like every other candidate
+//      (a verify::CandidateBatch probe).
 //
 // Everything here runs on the engine thread before VALIDATE fan-out, so
 // recordings and proposals are byte-identical at any --jobs.

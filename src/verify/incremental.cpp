@@ -4,7 +4,6 @@
 
 #include "netcore/prefix_trie.hpp"
 #include "obs/trace.hpp"
-#include "routing/delta.hpp"
 
 namespace acr::verify {
 
@@ -73,79 +72,57 @@ VerifyResult IncrementalVerifier::baseline(const topo::Network& network,
   return toVerifyResult();
 }
 
-route::SimResult IncrementalVerifier::simulate(
-    const topo::Network& network, const std::vector<cfg::ConfigDiff>& diffs) {
-  ++stats_.simulations;
-  if (use_delta_) {
-    std::vector<std::string> changed;
-    changed.reserve(diffs.size());
-    for (const auto& diff : diffs) changed.push_back(diff.device);
-    route::DeltaStats delta_stats;
-    const route::DeltaSimulator delta(*cached_network_, *cached_sim_);
-    route::SimResult sim =
-        delta.run(network, changed, sim_options_, &delta_stats);
-    if (delta_stats.used_delta) {
-      ++stats_.delta_sims;
-      last_sim_ = "delta";
-    } else {
-      ++stats_.delta_fallbacks;
-      last_sim_ = delta_stats.fallback_reason;
-    }
-    return sim;
-  }
-  last_sim_ = "full";
-  return route::Simulator(network).run(sim_options_);
+namespace {
+
+std::vector<std::string> devicesOf(const std::vector<cfg::ConfigDiff>& diffs) {
+  std::vector<std::string> devices;
+  devices.reserve(diffs.size());
+  for (const auto& diff : diffs) devices.push_back(diff.device);
+  return devices;
 }
 
-VerifyResult IncrementalVerifier::probe(const topo::Network& network) {
-  obs::Span span("verify.probe");
-  if (!cached_sim_ || !cached_network_) return baseline(network);
-  const std::vector<cfg::ConfigDiff> diffs =
-      diffNetworks(*cached_network_, network);
-  const route::SimResult sim = simulate(network, diffs);
-  std::vector<TestResult> results = cached_results_;
-  rejudge(network, sim, diffs, results);
-  VerifyResult out;
-  out.tests_run = static_cast<int>(results.size());
-  for (const auto& result : results) {
-    if (!result.passed) ++out.tests_failed;
+std::string joinDevices(const std::vector<std::string>& devices) {
+  std::string joined;
+  for (const std::string& device : devices) {
+    if (!joined.empty()) joined += '+';
+    joined += device;
   }
-  out.results = std::move(results);
-  return out;
+  return joined;
 }
+
+}  // namespace
 
 VerifyResult IncrementalVerifier::update(const topo::Network& network) {
   obs::Span span("verify.update");
   if (!cached_sim_ || !cached_network_) return baseline(network);
 
-  const std::vector<cfg::ConfigDiff> diffs =
-      diffNetworks(*cached_network_, network);
-  route::SimResult sim = simulate(network, diffs);
-  rejudge(network, sim, diffs, cached_results_);
+  const std::vector<std::string> changed =
+      devicesOf(diffNetworks(*cached_network_, network));
+  route::TreeLeafStats leaf;
+  route::SimResult sim =
+      route::DeltaTree(*cached_network_, *cached_sim_, sim_options_)
+          .run(network, changed, &leaf);
+  ++stats_.simulations;
+  ++(leaf.used_delta ? stats_.delta_sims : stats_.delta_fallbacks);
+  // Changed devices catch data-plane-only edits such as PBR rules.
+  rejudge(network, sim, {changed.begin(), changed.end()},
+          changedPrefixes(sim, leaf), cached_results_, stats_);
   cached_sim_ = std::move(sim);
   cached_network_ = network;
   return toVerifyResult();
 }
 
-void IncrementalVerifier::rejudge(const topo::Network& network,
-                                  const route::SimResult& sim,
-                                  const std::vector<cfg::ConfigDiff>& diffs,
-                                  std::vector<TestResult>& results) {
-  // Changed devices (catches data-plane-only edits such as PBR rules).
-  std::set<std::string> changed_devices;
-  for (const auto& diff : diffs) {
-    changed_devices.insert(diff.device);
-  }
-  rejudgeWith(network, sim, changed_devices, changedPrefixes(sim), results,
-              stats_);
-}
-
 std::set<net::Prefix> IncrementalVerifier::changedPrefixes(
-    const route::SimResult& sim) const {
-  // Prefixes whose best route changed on any router, plus flapping-set churn.
-  // The RIB diff walks packed pages (shared pages skip wholesale) instead of
-  // comparing key() strings per entry.
+    const route::SimResult& sim, const route::TreeLeafStats& leaf) const {
   std::set<net::Prefix> changed_prefixes;
+  if (leaf.used_delta) {
+    for (const auto& [router, prefix] : leaf.changed_vs_anchor) {
+      changed_prefixes.insert(prefix);
+    }
+    return changed_prefixes;
+  }
+  // The RIB diff walks packed pages (shared pages skip wholesale) instead
+  // of comparing key() strings per entry.
   sim.rib.changedPrefixesInto(cached_sim_->rib, changed_prefixes);
   changed_prefixes.insert(cached_sim_->flapping.begin(),
                           cached_sim_->flapping.end());
@@ -153,7 +130,7 @@ std::set<net::Prefix> IncrementalVerifier::changedPrefixes(
   return changed_prefixes;
 }
 
-void IncrementalVerifier::rejudgeWith(
+void IncrementalVerifier::rejudge(
     const topo::Network& network, const route::SimResult& sim,
     const std::set<std::string>& changed_devices,
     const std::set<net::Prefix>& changed_prefixes,
@@ -209,35 +186,16 @@ void IncrementalVerifier::rejudgeWith(
   }
 }
 
-namespace {
-
-std::vector<std::string> devicesOf(const std::vector<cfg::ConfigDiff>& diffs) {
-  std::vector<std::string> devices;
-  devices.reserve(diffs.size());
-  for (const auto& diff : diffs) devices.push_back(diff.device);
-  return devices;
-}
-
-std::string joinDevices(const std::vector<std::string>& devices) {
-  std::string joined;
-  for (const std::string& device : devices) {
-    if (!joined.empty()) joined += '+';
-    joined += device;
-  }
-  return joined;
-}
-
-}  // namespace
-
 CandidateBatch::CandidateBatch(const IncrementalVerifier& verifier,
-                               const topo::Network& base)
+                               const topo::Network& base, bool incremental)
     : verifier_(verifier), base_(base), base_path_("anchor") {
-  if (!verifier_.cached_sim_ || !verifier_.cached_network_) return;
+  if (!incremental || !verifier_.cached_sim_ || !verifier_.cached_network_) {
+    return;
+  }
   base_changed_ = devicesOf(diffNetworks(*verifier_.cached_network_, base_));
   if (!base_changed_.empty()) {
     base_path_ += '/' + joinDevices(base_changed_);
   }
-  if (!verifier_.use_delta_) return;
   tree_.emplace(*verifier_.cached_network_, *verifier_.cached_sim_,
                 verifier_.sim_options_);
   tree_->setBase(base_, base_changed_);
@@ -246,64 +204,39 @@ CandidateBatch::CandidateBatch(const IncrementalVerifier& verifier,
 CandidateBatch::Probe CandidateBatch::probe(const topo::Network& candidate) {
   obs::Span span("verify.batch_probe");
   Probe out;
-  IncrementalVerifier::Stats stats;
-
-  // Unprimed verifier: no cached verdicts to fork — full verification,
-  // exactly like IncrementalVerifier::probe()'s baseline() fallback (minus
-  // the cache priming, which a const batch must not do).
-  if (!verifier_.cached_sim_ || !verifier_.cached_network_) {
+  if (!tree_) {
+    // The oracle: a from-scratch simulation judged on the whole suite.
     const Verifier verifier(verifier_.intents_, verifier_.sim_options_,
                             verifier_.multipath_);
     const route::SimResult sim =
         route::Simulator(candidate).run(verifier_.sim_options_);
     out.verdict.results = verifier.runTests(candidate, sim, verifier_.tests_);
-    out.sim = "full";
+    out.sim = "full-verify";
     out.tests_reverified = static_cast<int>(verifier_.tests_.size());
   } else {
-    const std::vector<cfg::ConfigDiff> anchor_diffs =
-        diffNetworks(*verifier_.cached_network_, candidate);
-    std::set<std::string> changed_devices;
-    for (const auto& diff : anchor_diffs) changed_devices.insert(diff.device);
+    const std::vector<std::string> anchor_changed =
+        devicesOf(diffNetworks(*verifier_.cached_network_, candidate));
     // vs. the base: when the base IS the anchor the anchor diff is the base
     // diff; otherwise diff against the base network directly.
     const std::vector<std::string> changed_vs_base =
-        base_changed_.empty() ? devicesOf(anchor_diffs)
+        base_changed_.empty() ? anchor_changed
                               : devicesOf(diffNetworks(base_, candidate));
+    out.node = base_path_ + '/' +
+               (changed_vs_base.empty() ? std::string("=")
+                                        : joinDevices(changed_vs_base));
 
+    IncrementalVerifier::Stats stats;
     std::vector<TestResult> results = verifier_.cached_results_;
-    if (tree_) {
-      out.node = base_path_ + '/' +
-                 (changed_vs_base.empty() ? std::string("=")
-                                          : joinDevices(changed_vs_base));
-      tree_->leaf(candidate, changed_vs_base,
-                  [&](const route::SimResult& sim,
-                      const route::TreeLeafStats& leaf_stats) {
-                    std::set<net::Prefix> changed_prefixes;
-                    if (leaf_stats.used_delta) {
-                      // The tree's exact changed-entry list replaces the
-                      // full RIB sweep. Flapping churn is impossible here:
-                      // both the anchor and the leaf converged.
-                      for (const auto& [router, prefix] :
-                           leaf_stats.changed_vs_anchor) {
-                        changed_prefixes.insert(prefix);
-                      }
-                      out.sim = "delta-tree";
-                    } else {
-                      changed_prefixes = verifier_.changedPrefixes(sim);
-                      out.sim = leaf_stats.fallback_reason;
-                    }
-                    verifier_.rejudgeWith(candidate, sim, changed_devices,
-                                          changed_prefixes, results, stats);
-                  });
-    } else {
-      // Delta disabled on the verifier: full simulation per candidate, the
-      // same escape hatch IncrementalVerifier::simulate() honors.
-      const route::SimResult sim =
-          route::Simulator(candidate).run(verifier_.sim_options_);
-      out.sim = "full";
-      verifier_.rejudgeWith(candidate, sim, changed_devices,
-                            verifier_.changedPrefixes(sim), results, stats);
-    }
+    tree_->leaf(candidate, changed_vs_base,
+                [&](const route::SimResult& sim,
+                    const route::TreeLeafStats& leaf) {
+                  out.sim = leaf.used_delta ? "delta-tree"
+                                            : leaf.fallback_reason;
+                  verifier_.rejudge(
+                      candidate, sim,
+                      {anchor_changed.begin(), anchor_changed.end()},
+                      verifier_.changedPrefixes(sim, leaf), results, stats);
+                });
     out.verdict.results = std::move(results);
     out.tests_reverified = static_cast<int>(stats.tests_reverified);
     out.tests_skipped = static_cast<int>(stats.tests_skipped);

@@ -3,7 +3,7 @@
 // The paper's validation step leans on incremental verifiers (DNA, NSDI'22)
 // to make trying many candidate updates cheap. This implementation keeps the
 // previous simulation, FIBs and per-test verdicts; after a config change it
-// re-simulates (the synchronous simulator is the cheap part) and then
+// re-simulates incrementally off that anchor (route::DeltaTree) and then
 // re-judges ONLY the tests that could have been affected:
 //   * tests whose src/dst lies in a prefix whose best route changed anywhere
 //     (including prefixes entering/leaving the flapping set),
@@ -48,22 +48,17 @@ class IncrementalVerifier {
   VerifyResult baseline(const topo::Network& network,
                         const route::SimResult* seed_sim = nullptr);
 
-  /// Differential verification against the cached state; updates the cache.
-  /// Falls back to baseline() when no cache exists.
+  /// Differential verification against the cached state; updates the cache
+  /// (re-anchors). Falls back to baseline() when no cache exists. Probing a
+  /// candidate without moving the anchor is CandidateBatch::probe().
   VerifyResult update(const topo::Network& network);
-
-  /// Differential verification WITHOUT updating the cache — the candidate-
-  /// validation fast path: the repair engine probes many candidate updates
-  /// against the same anchor state and only re-anchors (update) on the one
-  /// it keeps. Requires a primed cache.
-  [[nodiscard]] VerifyResult probe(const topo::Network& network);
 
   struct Stats {
     std::uint64_t simulations = 0;
     std::uint64_t tests_total = 0;
     std::uint64_t tests_reverified = 0;
     std::uint64_t tests_skipped = 0;
-    /// Simulations served by the DeltaSimulator's incremental path vs.
+    /// update() simulations served by the delta tree's incremental path vs.
     /// those that fell back to a full run (both also count `simulations`).
     std::uint64_t delta_sims = 0;
     std::uint64_t delta_fallbacks = 0;
@@ -71,25 +66,17 @@ class IncrementalVerifier {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   void resetStats() { stats_ = {}; }
 
-  /// How the most recent probe()/update() obtained its simulation: "delta"
-  /// (incremental path), one of the DeltaSimulator's fallback-rule reasons
-  /// (docs/architecture.md §12), or "full" (delta disabled). The flight
-  /// recorder stamps this on each verdict event.
-  [[nodiscard]] const std::string& lastSim() const { return last_sim_; }
-
   /// Adds this verifier's counters into a metrics registry (the names are
   /// documented in docs/architecture.md §Metrics): verify.simulations,
   /// verify.tests_total, verify.tests_reverified, verify.tests_skipped.
   void exportStats(util::MetricsRegistry& registry) const;
 
-  /// Escape hatch: route probe()/update() simulations through a full
-  /// `Simulator::run` even when the delta path would apply (default on —
-  /// the DeltaSimulator falls back on its own whenever byte-identity is
-  /// not guaranteed).
-  void setUseDeltaSim(bool use) { use_delta_ = use; }
-
   [[nodiscard]] const route::SimResult* cachedSim() const {
     return cached_sim_ ? &*cached_sim_ : nullptr;
+  }
+  /// The anchor network (null before baseline()).
+  [[nodiscard]] const topo::Network* cachedNetwork() const {
+    return cached_network_ ? &*cached_network_ : nullptr;
   }
   [[nodiscard]] const std::vector<Intent>& intents() const { return intents_; }
   [[nodiscard]] const std::vector<TestCase>& tests() const { return tests_; }
@@ -99,84 +86,74 @@ class IncrementalVerifier {
 
   VerifyResult toVerifyResult() const;
 
-  /// The cached-anchor simulation of `network`: incremental
-  /// (DeltaSimulator seeded with the cached sim + `diffs`) when enabled,
-  /// full otherwise. Requires a primed cache.
-  [[nodiscard]] route::SimResult simulate(
-      const topo::Network& network, const std::vector<cfg::ConfigDiff>& diffs);
-
-  /// Differential core shared by update() and probe(): recomputes the
-  /// affected entries of `results` against `sim`, leaving the cache alone.
-  /// `diffs` is diffNetworks(cached network, network), computed once by the
-  /// caller and shared with the delta simulation.
-  void rejudge(const topo::Network& network, const route::SimResult& sim,
-               const std::vector<cfg::ConfigDiff>& diffs,
-               std::vector<TestResult>& results);
-
-  /// Prefixes whose best route differs between `sim` and the cached
-  /// anchor simulation anywhere (full RIB sweep), plus both flapping sets.
-  /// The invalidation set rejudging keys off when no cheaper exact diff
-  /// (e.g. a delta tree's changed-entry list) is available.
+  /// The prefixes a simulation of a candidate invalidates: the delta
+  /// tree's exact changed-entry list when `leaf` used the incremental path
+  /// (both fixpoints converged, so no flapping churn), otherwise every
+  /// prefix whose best route differs from the cached anchor simulation
+  /// anywhere (full RIB sweep), plus both flapping sets.
   [[nodiscard]] std::set<net::Prefix> changedPrefixes(
-      const route::SimResult& sim) const;
+      const route::SimResult& sim, const route::TreeLeafStats& leaf) const;
 
-  /// The invalidation/re-run loop of rejudge(), parameterized over the
-  /// changed sets and accounting target so CandidateBatch can drive it
-  /// with tree-derived sets and per-probe stats without touching the
+  /// Recomputes the verdicts in `results` that the changed devices and
+  /// prefixes could affect, against `sim`; accounts into `stats`, so
+  /// CandidateBatch can drive it with per-probe stats without touching the
   /// verifier's own state.
-  void rejudgeWith(const topo::Network& network, const route::SimResult& sim,
-                   const std::set<std::string>& changed_devices,
-                   const std::set<net::Prefix>& changed_prefixes,
-                   std::vector<TestResult>& results, Stats& stats) const;
+  void rejudge(const topo::Network& network, const route::SimResult& sim,
+               const std::set<std::string>& changed_devices,
+               const std::set<net::Prefix>& changed_prefixes,
+               std::vector<TestResult>& results, Stats& stats) const;
 
   std::vector<Intent> intents_;
   std::vector<TestCase> tests_;
   route::SimOptions sim_options_;
   bool multipath_ = false;
-  bool use_delta_ = true;
   Stats stats_;
-  std::string last_sim_;
 
   std::optional<route::SimResult> cached_sim_;
   std::optional<topo::Network> cached_network_;
   std::vector<TestResult> cached_results_;
 };
 
-/// Cross-candidate batch probing over a shared delta tree.
+/// Candidate probing over a shared delta tree — the one way the repair
+/// engine scores a candidate.
 ///
-/// One VALIDATE pass probes many candidates against the same anchor; each
-/// IncrementalVerifier::probe() re-propagates the candidates' shared edit
-/// prefix from the anchor fixpoint. A CandidateBatch propagates it once
-/// (route::DeltaTree) and evaluates each candidate as a cheap leaf fork,
-/// reusing the tree's exact changed-entry list as the test-invalidation
-/// set instead of sweeping the whole RIB per candidate.
+/// One VALIDATE pass probes many candidates against the same anchor; the
+/// candidates usually share an edit prefix (the *base*: the population
+/// candidate they fork from). A CandidateBatch propagates the base once
+/// (route::DeltaTree::setBase) and evaluates each candidate as a cheap leaf
+/// fork, reusing the tree's exact changed-entry list as the
+/// test-invalidation set instead of sweeping the whole RIB per candidate.
 ///
 /// Equivalence contract: probe(candidate) returns exactly the verdicts and
-/// reverified/skipped counts IncrementalVerifier::probe(candidate) would —
-/// only the `sim` label ("delta-tree" on the tree path) and the verifier's
-/// internal stats accounting differ (a batch keeps its accounting in the
-/// returned Probe; the verifier's counters are untouched).
+/// reverified/skipped counts of update(candidate) on a copy of the
+/// verifier, whatever the base — only the recorded `node` path differs.
+/// The verifier itself is never modified.
 ///
-/// Lifetimes: `verifier` must be primed (a baseline() ran) and must not be
-/// re-anchored (update()) while the batch lives; `base` must outlive the
-/// batch. One batch per thread, like the verifier clones it rides on.
+/// With `incremental` false (or an unprimed verifier) every probe is the
+/// full-verification oracle instead: a from-scratch Simulator run and
+/// every test of the verifier's suite.
+///
+/// Lifetimes: `verifier` must not be re-anchored (update()) while the batch
+/// lives; `base` must outlive the batch. One batch per thread; several
+/// batches may share one verifier across threads.
 class CandidateBatch {
  public:
   struct Probe {
     VerifyResult verdict;
     int tests_reverified = 0;
     int tests_skipped = 0;
-    /// "delta-tree" (tree leaf), a fallback-rule reason, or "full".
+    /// "delta-tree" (tree leaf), a fallback-rule reason, or "full-verify"
+    /// (the oracle).
     std::string sim;
     /// Tree node path ("anchor[/base devices]/leaf devices"), empty when
-    /// no tree was involved (delta disabled or unprimed verifier).
+    /// no tree was involved (the oracle).
     std::string node;
   };
 
   /// `base` is the edit prefix shared by every candidate of the batch —
   /// pass the anchor network itself when the candidates share nothing.
   CandidateBatch(const IncrementalVerifier& verifier,
-                 const topo::Network& base);
+                 const topo::Network& base, bool incremental = true);
 
   [[nodiscard]] Probe probe(const topo::Network& candidate);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "topo/generators.hpp"
 
 namespace acr::cfg {
@@ -98,6 +100,17 @@ struct ErrorCase {
   const char* text;
   int line;
 };
+
+// Prints the case as its offending line, e.g. "line 2: bgp notanumber".
+// The parameterised test names carry this text, so it keeps them stable from
+// build to build; the default printer dumps the bytes of the text pointer.
+void PrintTo(const ErrorCase& c, std::ostream* os) {
+  std::string_view text = c.text;
+  for (int i = 1; i < c.line; ++i) text.remove_prefix(text.find('\n') + 1);
+  text = text.substr(0, text.find('\n'));
+  while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
+  *os << "line " << c.line << ": " << text;
+}
 
 class ParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 

@@ -124,6 +124,12 @@ struct SubtractCase {
   const char* remove;
 };
 
+// Keeps the parameterised test names readable and stable from build to build;
+// the default printer dumps the bytes of the two string pointers.
+void PrintTo(const SubtractCase& c, std::ostream* os) {
+  *os << c.from << " minus " << c.remove;
+}
+
 class SubtractProperty : public ::testing::TestWithParam<SubtractCase> {};
 
 TEST_P(SubtractProperty, ExactPartition) {

@@ -68,6 +68,43 @@ TEST(Engine, IncrementalAndFullValidationAgree) {
   EXPECT_EQ(b.tests_skipped, 0u);
 }
 
+TEST(Engine, FullValidationOracleRunsTheCoverageGuidedSuite) {
+  // The full-validation oracle must score candidates on the engine's own
+  // suite. A coverage-guided suite ignores samples_per_intent, so an oracle
+  // that regenerates `samples_per_intent` packets per intent judges a
+  // different suite than the baseline and the fitness rule do — and with
+  // two faults to repair, that shows in the discards and the history.
+  acr::Scenario scenario = acr::dcnScenario(3, 2);
+  inject::FaultInjector injector(29);
+  auto first = injector.inject(scenario.built,
+                               inject::FaultType::kMissingRedistribution);
+  ASSERT_TRUE(first.has_value());
+  topo::BuiltNetwork compound = scenario.built;
+  compound.network = first->network;
+  auto second = injector.inject(compound, inject::FaultType::kExtraPbrRedirect);
+  ASSERT_TRUE(second.has_value());
+
+  RepairOptions options;
+  options.coverage_guided_tests = true;
+  options.samples_per_intent = 2;
+  options.use_incremental = true;
+  const RepairResult incremental =
+      AcrEngine(scenario.intents, options).repair(second->network);
+  options.use_incremental = false;
+  const RepairResult full =
+      AcrEngine(scenario.intents, options).repair(second->network);
+  ASSERT_TRUE(incremental.success) << incremental.summary();
+  EXPECT_GT(incremental.iterations, 1);
+  EXPECT_EQ(incremental.changes, full.changes);
+  EXPECT_EQ(incremental.iterations, full.iterations);
+  EXPECT_EQ(incremental.validations, full.validations);
+  ASSERT_EQ(incremental.history.size(), full.history.size());
+  for (std::size_t i = 0; i < full.history.size(); ++i) {
+    EXPECT_EQ(incremental.history[i].fitness, full.history[i].fitness)
+        << "iteration " << i + 1;
+  }
+}
+
 TEST(Engine, IncrementalValidationSkipsUnaffectedTests) {
   // A PBR fault never changes FIBs, so the differential verifier re-checks
   // only the failing tests and those crossing the edited device.
@@ -344,3 +381,4 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace acr::repair
+

@@ -1,4 +1,5 @@
-// DeltaSimulator byte-identity contract.
+// Byte-identity contract of the one-shot delta run (a one-leaf
+// DeltaTree::run).
 //
 // The incremental engine must be indistinguishable from a from-scratch run:
 // same convergence verdict, same flapping set, same RIB down to every route
@@ -6,10 +7,11 @@
 // catalog in both directions — injecting each fault into a healthy baseline
 // and repairing each fault from a faulty baseline — plus the explicit
 // fallback triggers and the oscillation case.
-#include "routing/delta.hpp"
+#include "routing/delta_tree.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
@@ -76,6 +78,23 @@ void expectSimEqual(const SimResult& actual, const SimResult& expected) {
   }
 }
 
+/// The derivation chain of `id` flattened to content: routers, prefixes and
+/// config lines in chain order. Two graphs agree on a cell iff these match —
+/// DerivationIds themselves are storage-order artifacts and intentionally
+/// differ between a full run and a forked delta graph.
+std::string chainOf(const prov::ProvenanceGraph& graph,
+                    prov::DerivationId id) {
+  std::string out;
+  while (id != prov::kNoDerivation) {
+    const prov::Derivation& derivation = graph.at(id);
+    out += derivation.router + '|' + derivation.prefix.str() + '|';
+    for (const auto& line : derivation.lines) out += line.str() + ',';
+    out += ';';
+    id = derivation.parent;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // The campaign sweep: every Table-1 error type, both directions.
 // ---------------------------------------------------------------------------
@@ -92,11 +111,10 @@ TEST_P(DeltaEquivalence, InjectedFaultMatchesFullRun) {
 
   const SimResult baseline = Simulator(scenario.network()).run(options);
   const SimResult full = Simulator(incident->network).run(options);
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(incident->network, devicesOf(incident->injected_diff), options,
-                &stats);
+      DeltaTree(scenario.network(), baseline, options)
+          .run(incident->network, devicesOf(incident->injected_diff), &stats);
   expectSimEqual(incremental, full);
 }
 
@@ -112,12 +130,106 @@ TEST_P(DeltaEquivalence, RepairedFaultMatchesFullRun) {
 
   const SimResult baseline = Simulator(incident->network).run(options);
   const SimResult full = Simulator(scenario.network()).run(options);
-  DeltaStats stats;
-  const DeltaSimulator delta(incident->network, baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(scenario.network(), devicesOf(incident->injected_diff), options,
-                &stats);
+      DeltaTree(incident->network, baseline, options)
+          .run(scenario.network(), devicesOf(incident->injected_diff), &stats);
   expectSimEqual(incremental, full);
+}
+
+/// The provenance-on direction of the sweep: chains content-equal to a full
+/// run, plus exact versions of the stats the suite cache's entry-granular
+/// invalidation (localize/incremental.hpp) relies on.
+void expectProvenanceRunMatches(const topo::Network& anchor_network,
+                                const topo::Network& updated,
+                                const std::vector<std::string>& changed) {
+  const SimOptions options;  // record_provenance defaults to true
+  const SimResult anchor = Simulator(anchor_network).run(options);
+  const SimResult full = Simulator(updated).run(options);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(anchor_network, anchor, options).run(updated, changed, &stats);
+  EXPECT_EQ(incremental.converged, full.converged);
+  EXPECT_EQ(incremental.flapping, full.flapping);
+  ASSERT_EQ(incremental.rib.routers(), full.rib.routers());
+  for (const std::string& router : full.rib.routers()) {
+    const std::map<net::Prefix, Route> expected = full.rib.routesOf(router);
+    const std::map<net::Prefix, Route> actual =
+        incremental.rib.routesOf(router);
+    ASSERT_EQ(actual.size(), expected.size()) << router;
+    for (const auto& [prefix, route] : expected) {
+      const auto it = actual.find(prefix);
+      ASSERT_NE(it, actual.end()) << router << " " << prefix.str();
+      EXPECT_EQ(it->second.key(), route.key()) << router << " " << prefix.str();
+      EXPECT_EQ(chainOf(incremental.provenance, it->second.derivation),
+                chainOf(full.provenance, route.derivation))
+          << router << " " << prefix.str();
+    }
+  }
+  if (!stats.used_delta) return;  // a fallback result is the full run
+
+  // Changed cells are exactly the brute-force RIB diff against the anchor.
+  std::vector<std::pair<std::string, net::Prefix>> expected_changed;
+  for (const std::string& router : full.rib.routers()) {
+    const std::map<net::Prefix, Route> now = full.rib.routesOf(router);
+    const std::map<net::Prefix, Route> before = anchor.rib.routesOf(router);
+    for (const auto& [prefix, route] : now) {
+      const auto it = before.find(prefix);
+      if (it == before.end() || it->second.key() != route.key()) {
+        expected_changed.emplace_back(router, prefix);
+      }
+    }
+    for (const auto& [prefix, route] : before) {
+      if (now.count(prefix) == 0) expected_changed.emplace_back(router, prefix);
+    }
+  }
+  std::vector<std::pair<std::string, net::Prefix>> changed =
+      stats.changed_vs_anchor;
+  std::sort(changed.begin(), changed.end());
+  std::sort(expected_changed.begin(), expected_changed.end());
+  EXPECT_EQ(changed, expected_changed);
+
+  // Every changed cell whose derivation changed is chain-dirty.
+  std::vector<std::pair<std::string, net::Prefix>> chain_dirty =
+      stats.dirty_chain_cells;
+  std::sort(chain_dirty.begin(), chain_dirty.end());
+  for (const auto& cell : changed) {
+    const auto& [router, prefix] = cell;
+    const std::map<net::Prefix, Route> now = incremental.rib.routesOf(router);
+    const auto it = now.find(prefix);
+    if (it == now.end()) continue;  // withdrawn: no derivation left
+    const std::map<net::Prefix, Route> before = anchor.rib.routesOf(router);
+    const auto old_it = before.find(prefix);
+    if (old_it != before.end() &&
+        old_it->second.derivation == it->second.derivation) {
+      continue;
+    }
+    EXPECT_TRUE(
+        std::binary_search(chain_dirty.begin(), chain_dirty.end(), cell))
+        << router << " " << prefix.str();
+  }
+}
+
+TEST_P(DeltaEquivalence, InjectedFaultWithProvenanceMatchesFullRun) {
+  const inject::FaultSpec& spec = inject::specOf(GetParam());
+  acr::Scenario scenario = acr::scenarioByFamily(spec.scenario);
+  inject::FaultInjector injector(11);
+  const auto incident = injector.inject(scenario.built, GetParam());
+  ASSERT_TRUE(incident.has_value()) << spec.label;
+  expectProvenanceRunMatches(scenario.network(), incident->network,
+                             devicesOf(incident->injected_diff));
+}
+
+TEST_P(DeltaEquivalence, RepairedFaultWithProvenanceMatchesFullRun) {
+  // The localization cache's real workload: a provenance anchor on the
+  // faulty network, the candidate restoring the correct configs.
+  const inject::FaultSpec& spec = inject::specOf(GetParam());
+  acr::Scenario scenario = acr::scenarioByFamily(spec.scenario);
+  inject::FaultInjector injector(11);
+  const auto incident = injector.inject(scenario.built, GetParam());
+  ASSERT_TRUE(incident.has_value()) << spec.label;
+  expectProvenanceRunMatches(incident->network, scenario.network(),
+                             devicesOf(incident->injected_diff));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,10 +266,10 @@ TEST(Delta, EngagesOnConfigOnlyEdit) {
   edited.config("tor1_1")->bgp->redistributes.clear();
   edited.renumberAll();
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(edited, {"tor1_1"}, options, &stats);
+      DeltaTree(scenario.network(), baseline, options)
+          .run(edited, {"tor1_1"}, &stats);
   EXPECT_TRUE(stats.used_delta) << stats.fallback_reason;
   EXPECT_GT(stats.work_items, 0u);
   expectSimEqual(incremental, Simulator(edited).run(options));
@@ -174,10 +286,10 @@ TEST(Delta, NoChangeConvergesInOneRound) {
   const SimResult baseline = Simulator(scenario.network()).run(options);
   ASSERT_TRUE(baseline.converged);
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(scenario.network(), {}, options, &stats);
+      DeltaTree(scenario.network(), baseline, options)
+          .run(scenario.network(), {}, &stats);
   EXPECT_TRUE(stats.used_delta);
   EXPECT_EQ(stats.rounds, 1);
   EXPECT_EQ(stats.work_items, 0u);
@@ -195,9 +307,10 @@ TEST(Delta, EquivalentUnderEcmp) {
   edited.config("core1")->bgp->redistributes.clear();
   edited.renumberAll();
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
-  const SimResult incremental = delta.run(edited, {"core1"}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(scenario.network(), baseline, options)
+          .run(edited, {"core1"}, &stats);
   EXPECT_TRUE(stats.used_delta) << stats.fallback_reason;
   expectSimEqual(incremental, Simulator(edited).run(options));
 }
@@ -214,10 +327,10 @@ TEST(DeltaFallback, ProvenanceAnchorMissingFallsBack) {
       Simulator(scenario.network()).run(deltaOptions());
 
   SimOptions provenance_options;  // record_provenance defaults to true
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(scenario.network(), {}, provenance_options, &stats);
+      DeltaTree(scenario.network(), baseline, provenance_options)
+          .run(scenario.network(), {}, &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "provenance-anchor-missing");
   expectSimEqual(incremental, Simulator(scenario.network()).run(provenance_options));
@@ -226,23 +339,6 @@ TEST(DeltaFallback, ProvenanceAnchorMissingFallsBack) {
 // ---------------------------------------------------------------------------
 // Delta provenance: COW chain reuse on the incremental path.
 // ---------------------------------------------------------------------------
-
-/// The derivation chain of `id` flattened to content: routers, prefixes and
-/// config lines in chain order. Two graphs agree on a cell iff these match —
-/// DerivationIds themselves are storage-order artifacts and intentionally
-/// differ between a full run and a forked delta graph.
-std::string chainOf(const prov::ProvenanceGraph& graph,
-                    prov::DerivationId id) {
-  std::string out;
-  while (id != prov::kNoDerivation) {
-    const prov::Derivation& derivation = graph.at(id);
-    out += derivation.router + '|' + derivation.prefix.str() + '|';
-    for (const auto& line : derivation.lines) out += line.str() + ',';
-    out += ';';
-    id = derivation.parent;
-  }
-  return out;
-}
 
 TEST(DeltaProvenance, EngagesAndReusesAnchorChains) {
   acr::Scenario scenario = acr::dcnScenario(2, 2);
@@ -255,14 +351,15 @@ TEST(DeltaProvenance, EngagesAndReusesAnchorChains) {
   edited.config("tor1_1")->bgp->redistributes.clear();
   edited.renumberAll();
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
-  const SimResult incremental = delta.run(edited, {"tor1_1"}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(scenario.network(), baseline, options)
+          .run(edited, {"tor1_1"}, &stats);
   EXPECT_TRUE(stats.used_delta) << stats.fallback_reason;
   EXPECT_GT(stats.fresh_derivations, 0u);
   EXPECT_GT(stats.reused_derivations, 0u);
-  EXPECT_FALSE(stats.changed_cells.empty());
-  EXPECT_FALSE(stats.dirty_chain_routers.empty());
+  EXPECT_FALSE(stats.changed_vs_anchor.empty());
+  EXPECT_FALSE(stats.dirty_chain_cells.empty());
 
   // Chain content must match a from-scratch provenance run on every cell.
   const SimResult full = Simulator(edited).run(options);
@@ -294,9 +391,10 @@ TEST(DeltaProvenance, UnchangedCellsKeepAnchorDerivationIds) {
   edited.config("tor1_1")->bgp->redistributes.clear();
   edited.renumberAll();
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
-  const SimResult incremental = delta.run(edited, {"tor1_1"}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(scenario.network(), baseline, options)
+          .run(edited, {"tor1_1"}, &stats);
   ASSERT_TRUE(stats.used_delta) << stats.fallback_reason;
 
   // Fresh derivations are appended past the anchor's frozen segment, so an
@@ -345,9 +443,9 @@ TEST(DeltaFallback, TopologyShapeChangeFallsBack) {
   for (const auto& subnet : shifted.topology.subnets()) rebuilt.addSubnet(subnet);
   shifted.topology = rebuilt;
 
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
-  const SimResult incremental = delta.run(shifted, {}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(scenario.network(), baseline, options).run(shifted, {}, &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "topology-shape-changed");
   expectSimEqual(incremental, Simulator(shifted).run(options));
@@ -365,11 +463,10 @@ TEST(DeltaFallback, SessionStateChangeFallsBack) {
   const SimOptions options = deltaOptions();
 
   const SimResult baseline = Simulator(scenario.network()).run(options);
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(incident->network, devicesOf(incident->injected_diff), options,
-                &stats);
+      DeltaTree(scenario.network(), baseline, options)
+          .run(incident->network, devicesOf(incident->injected_diff), &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "session-state-changed");
   expectSimEqual(incremental, Simulator(incident->network).run(options));
@@ -381,9 +478,10 @@ TEST(DeltaFallback, NonConvergedBaselineFallsBack) {
   const SimResult baseline = Simulator(faulty.network()).run(options);
   ASSERT_FALSE(baseline.converged);
 
-  DeltaStats stats;
-  const DeltaSimulator delta(faulty.network(), baseline);
-  const SimResult incremental = delta.run(faulty.network(), {}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult incremental =
+      DeltaTree(faulty.network(), baseline, options)
+          .run(faulty.network(), {}, &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "baseline-not-converged");
   expectSimEqual(incremental, baseline);
@@ -396,10 +494,10 @@ TEST(DeltaFallback, EcmpRecordingMismatchFallsBack) {
 
   SimOptions ecmp_options = deltaOptions();
   ecmp_options.enable_ecmp = true;
-  DeltaStats stats;
-  const DeltaSimulator delta(scenario.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(scenario.network(), {}, ecmp_options, &stats);
+      DeltaTree(scenario.network(), baseline, ecmp_options)
+          .run(scenario.network(), {}, &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "ecmp-recording-mismatch");
   expectSimEqual(incremental, Simulator(scenario.network()).run(ecmp_options));
@@ -418,10 +516,10 @@ TEST(DeltaFallback, OscillationFallsBackAndMatches) {
   const std::vector<cfg::ConfigDiff> diffs =
       topo::diffNetworks(correct.network(), faulty.network());
   ASSERT_FALSE(diffs.empty());
-  DeltaStats stats;
-  const DeltaSimulator delta(correct.network(), baseline);
+  TreeLeafStats stats;
   const SimResult incremental =
-      delta.run(faulty.network(), devicesOf(diffs), options, &stats);
+      DeltaTree(correct.network(), baseline, options)
+          .run(faulty.network(), devicesOf(diffs), &stats);
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "oscillation-detected");
   const SimResult full = Simulator(faulty.network()).run(options);

@@ -1,12 +1,12 @@
-// DeltaTree byte-identity contract (docs/architecture.md §14).
+// DeltaTree byte-identity contract (docs/architecture.md §12).
 //
 // Every leaf of a candidate batch must be indistinguishable from a
-// from-scratch run of that candidate — the same contract the DeltaSimulator
-// honors, now with three forking levels: anchor → shared base edit → one
-// cheap copy-on-write leaf per candidate. The sweep below replays the
+// from-scratch run of that candidate — the same contract the one-shot
+// run() honors, now with three forking levels: anchor → shared base edit →
+// one cheap copy-on-write leaf per candidate. The sweep below replays the
 // fault campaign's error catalog through single-leaf trees in both
-// directions (and cross-checks each leaf against the per-candidate
-// DeltaSimulator verdict), then exercises the tree-specific machinery:
+// directions (and cross-checks each leaf against the one-shot run's
+// verdict), then exercises the tree-specific machinery:
 // base-node sharing, exact leaf rollback, per-leaf fallback isolation and
 // the undo-log-derived anchor diff.
 #include "routing/delta_tree.hpp"
@@ -21,7 +21,6 @@
 
 #include "core/scenarios.hpp"
 #include "faultinject/faults.hpp"
-#include "routing/delta.hpp"
 #include "routing/simulator.hpp"
 
 namespace acr::route {
@@ -40,7 +39,7 @@ std::vector<std::string> devicesOf(const std::vector<cfg::ConfigDiff>& diffs) {
 }
 
 /// Field-level equality of two simulation results — the same contract
-/// delta_test.cc enforces for the DeltaSimulator. `rounds`, announcements
+/// delta_test.cc enforces for the one-shot run. `rounds`, announcements
 /// and provenance are deliberately outside the tree's identity contract.
 void expectSimEqual(const SimResult& actual, const SimResult& expected) {
   EXPECT_EQ(actual.converged, expected.converged);
@@ -88,7 +87,7 @@ void addStaticRoute(topo::Network& network, const std::string& tor, int p,
 
 // ---------------------------------------------------------------------------
 // The campaign sweep: every Table-1 error type, both directions, with the
-// per-candidate DeltaSimulator as the cross-check.
+// one-shot run as the cross-check.
 // ---------------------------------------------------------------------------
 
 class TreeEquivalence : public ::testing::TestWithParam<inject::FaultType> {};
@@ -100,10 +99,10 @@ void expectLeafMatchesFullRun(const topo::Network& anchor_network,
   const SimResult anchor = Simulator(anchor_network).run(options);
   const SimResult full = Simulator(leaf_network).run(options);
 
-  DeltaStats delta_stats;
-  const DeltaSimulator delta(anchor_network, anchor);
-  const SimResult incremental =
-      delta.run(leaf_network, changed, options, &delta_stats);
+  TreeLeafStats delta_stats;
+  const SimResult incremental = DeltaTree(anchor_network, anchor, options)
+                                    .run(leaf_network, changed, &delta_stats);
+  expectSimEqual(incremental, full);
 
   DeltaTree tree(anchor_network, anchor, options);
   bool visited = false;
@@ -111,8 +110,8 @@ void expectLeafMatchesFullRun(const topo::Network& anchor_network,
             [&](const SimResult& view, const TreeLeafStats& stats) {
               visited = true;
               expectSimEqual(view, full);
-              // The tree must fall back exactly when the per-candidate
-              // delta engine does, for the same rule.
+              // A leaf must fall back exactly when the one-shot run does,
+              // for the same rule.
               EXPECT_EQ(stats.used_delta, delta_stats.used_delta);
               EXPECT_EQ(stats.fallback_reason, delta_stats.fallback_reason);
             });

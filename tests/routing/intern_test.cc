@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/scenarios.hpp"
-#include "routing/delta.hpp"
+#include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 #include "util/thread_pool.hpp"
 
@@ -132,15 +132,16 @@ TEST(InternTables, VerdictsIdenticalAtAnyWorkerCount) {
   edited.config("tor1_1")->bgp->redistributes.clear();
   edited.renumberAll();
 
-  const DeltaSimulator delta(scenario.network(), baseline);
-  DeltaStats stats;
-  const SimResult sequential = delta.run(edited, {"tor1_1"}, options, &stats);
+  TreeLeafStats stats;
+  const SimResult sequential = DeltaTree(scenario.network(), baseline, options)
+                                   .run(edited, {"tor1_1"}, &stats);
   ASSERT_TRUE(stats.used_delta) << stats.fallback_reason;
 
   std::vector<SimResult> concurrent(4);
   util::parallelFor(4, 4, [&](int i) {
     concurrent[static_cast<std::size_t>(i)] =
-        delta.run(edited, {"tor1_1"}, options);
+        DeltaTree(scenario.network(), baseline, options)
+            .run(edited, {"tor1_1"});
   });
   for (const SimResult& result : concurrent) {
     EXPECT_EQ(result.converged, sequential.converged);

@@ -168,10 +168,15 @@ TEST(Constraint, StrRendering) {
 
 // Property sweep: solve then re-check the model against every constraint.
 struct SolverCase {
+  const char* name;
   std::vector<const char*> required;
   std::vector<const char*> forbidden;
   bool expect_sat;
 };
+
+// Names the parameterised tests after the case; the default printer dumps the
+// bytes of the vectors' heap pointers, which change from build to build.
+void PrintTo(const SolverCase& c, std::ostream* os) { *os << c.name; }
 
 class SolverProperty : public ::testing::TestWithParam<SolverCase> {};
 
@@ -206,14 +211,21 @@ TEST_P(SolverProperty, ModelSatisfiesConstraints) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SolverProperty,
     ::testing::Values(
-        SolverCase{{"10.70.0.0/16", "20.0.0.0/16"}, {"10.0.0.0/16"}, true},
-        SolverCase{{"0.0.0.0/1"}, {"10.0.0.0/8"}, true},
-        SolverCase{{"10.0.0.0/8", "20.0.0.0/8"},
+        SolverCase{"forbidden disjoint from required",
+                   {"10.70.0.0/16", "20.0.0.0/16"},
+                   {"10.0.0.0/16"},
+                   true},
+        SolverCase{"forbidden hole in required", {"0.0.0.0/1"}, {"10.0.0.0/8"},
+                   true},
+        SolverCase{"three holes across two required",
+                   {"10.0.0.0/8", "20.0.0.0/8"},
                    {"10.1.0.0/16", "20.31.0.0/16", "10.255.0.0/16"},
                    true},
-        SolverCase{{"10.0.0.0/16"}, {"0.0.0.0/0"}, false},
-        SolverCase{{}, {"10.0.0.0/8"}, true},
-        SolverCase{{"10.0.0.0/24"}, {"10.0.0.128/25"}, true}));
+        SolverCase{"forbidden covers required", {"10.0.0.0/16"},
+                   {"0.0.0.0/0"}, false},
+        SolverCase{"forbidden only", {}, {"10.0.0.0/8"}, true},
+        SolverCase{"forbidden half of required", {"10.0.0.0/24"},
+                   {"10.0.0.128/25"}, true}));
 
 // --- satellite edge cases --------------------------------------------------
 

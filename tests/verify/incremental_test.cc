@@ -86,21 +86,29 @@ TEST(Incremental, ProbeMatchesUpdateWithoutMovingTheCache) {
   ASSERT_GT(before.tests_failed, 0);
 
   // Probe the corrected network: verdicts match a full verification...
-  const VerifyResult probed = incremental.probe(correct.network());
+  const VerifyResult probed =
+      CandidateBatch(incremental, faulty.network())
+          .probe(correct.network())
+          .verdict;
   const Verifier full(faulty.intents);
   expectEquivalent(probed, full.verify(correct.network()));
   EXPECT_EQ(probed.tests_failed, 0);
 
   // ...but the cache still reflects the faulty anchor: re-probing the
   // faulty network reports the original failures.
-  const VerifyResult reprobed = incremental.probe(faulty.network());
+  const VerifyResult reprobed =
+      CandidateBatch(incremental, faulty.network())
+          .probe(faulty.network())
+          .verdict;
   EXPECT_EQ(reprobed.tests_failed, before.tests_failed);
 }
 
 TEST(Incremental, ProbeWithoutBaselineFallsBack) {
   const acr::Scenario scenario = acr::figure2Scenario(false);
   IncrementalVerifier incremental(scenario.intents);
-  EXPECT_TRUE(incremental.probe(scenario.network()).ok());
+  EXPECT_TRUE(CandidateBatch(incremental, scenario.network())
+                  .probe(scenario.network())
+                  .verdict.ok());
 }
 
 TEST(Incremental, FailuresAlwaysRechecked) {

@@ -59,7 +59,6 @@ using namespace acr;
       "  acrctl triage  DIR [--metric tarantula|ochiai|jaccard|dstar2]\n"
       "  acrctl repair  DIR [--out DIR2] [--metric M] [--brute-force]\n"
       "                 [--crossover] [--coverage-guided] [--multipath]\n"
-      "                 [--no-batch-validate]\n"
       "                 [--symbolic] [--symbolic-threshold F]\n"
       "                 [--symbolic-vars N] [--symbolic-forks N]\n"
       "                 [--report] [--seed S] [--jobs N] [--top-k N]\n"
@@ -105,7 +104,7 @@ using namespace acr;
       "exponential backoff + jitter (--retries, --retry-budget-ms) before\n"
       "giving up with exit 1.\n"
       "`fleet` drives several acrd workers through the consistent-hash\n"
-      "router (docs/architecture.md §16): multiple DIRs become one\n"
+      "router (docs/architecture.md §15): multiple DIRs become one\n"
       "submit_batch split across shard owners.\n",
       stderr);
   std::exit(2);
@@ -169,8 +168,8 @@ FlagSpec specFor(const std::string& command) {
     return {{"out", "metric", "seed", "jobs", "top-k", "record", "obs-out",
              "symbolic-threshold", "symbolic-vars", "symbolic-forks"},
             {"brute-force", "crossover", "coverage-guided", "multipath",
-             "no-batch-validate", "symbolic", "report", "metrics",
-             "metrics-json", "trace", "trace-json"}};
+             "symbolic", "report", "metrics", "metrics-json", "trace",
+             "trace-json"}};
   }
   if (command == "explain") return {{"replay"}, {}};
   if (command == "tolerance") return {{"k"}, {}};
@@ -377,7 +376,6 @@ int cmdRepair(const Args& args) {
   options.use_crossover = args.has("crossover");
   options.coverage_guided_tests = args.has("coverage-guided");
   options.multipath = args.has("multipath");
-  options.batch_validate = !args.has("no-batch-validate");
   // --symbolic: selective symbolic simulation (docs/symbolic.md) — solve
   // multi-line, multi-device fixes as one SMT conjunction before the
   // concrete template loop. The value flags tune the device gate and the
