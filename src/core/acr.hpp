@@ -21,7 +21,6 @@
 #include "fixgen/history.hpp"
 #include "localize/coverage.hpp"
 #include "localize/sbfl.hpp"
-#include "localize/testgen.hpp"
 #include "netcore/five_tuple.hpp"
 #include "netcore/ipv4.hpp"
 #include "netcore/prefix.hpp"

@@ -49,8 +49,7 @@ std::optional<IncidentRecord> runIncident(
     const auto incident = injector.inject(scenario.built, type);
     if (!incident) continue;
 
-    const verify::Verifier verifier(scenario.intents,
-                                    options.repair.sim_options);
+    const verify::Verifier verifier(scenario.intents);
     const verify::VerifyResult verdict = verifier.verify(
         incident->network, options.repair.samples_per_intent);
     if (verdict.tests_failed == 0) {  // masked by redundancy

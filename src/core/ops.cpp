@@ -72,22 +72,14 @@ util::Json repairOptionsJson(const repair::RepairOptions& options) {
   json.set("metric", util::Json(sbfl::metricName(options.metric)));
   json.set("max_iterations", util::Json(options.max_iterations));
   json.set("top_k_lines", util::Json(options.top_k_lines));
-  json.set("max_candidates", util::Json(options.max_candidates));
-  json.set("max_proposals_per_line",
-           util::Json(options.max_proposals_per_line));
   json.set("samples_per_intent", util::Json(options.samples_per_intent));
   json.set("seed", util::Json(static_cast<std::uint64_t>(options.seed)));
   json.set("use_incremental", util::Json(options.use_incremental));
   json.set("batch_validate", util::Json(options.batch_validate));
   json.set("brute_force", util::Json(options.brute_force));
   json.set("use_crossover", util::Json(options.use_crossover));
-  json.set("crossover_pairs", util::Json(options.crossover_pairs));
-  json.set("coverage_guided_tests",
-           util::Json(options.coverage_guided_tests));
   json.set("multipath", util::Json(options.multipath));
   json.set("tolerance_k", util::Json(options.tolerance_k));
-  json.set("tolerance_max_scenarios",
-           util::Json(options.tolerance_max_scenarios));
   json.set("symbolic", util::Json(options.symbolic));
   // Fixed-precision string (like recorded scores) so the rendering can
   // never drift between platforms.
@@ -122,9 +114,6 @@ repair::RepairOptions repairOptionsFromJson(const util::Json& json) {
   }
   options.max_iterations = intField("max_iterations", options.max_iterations);
   options.top_k_lines = intField("top_k_lines", options.top_k_lines);
-  options.max_candidates = intField("max_candidates", options.max_candidates);
-  options.max_proposals_per_line =
-      intField("max_proposals_per_line", options.max_proposals_per_line);
   options.samples_per_intent =
       intField("samples_per_intent", options.samples_per_intent);
   if (const util::Json* seed = json.find("seed")) {
@@ -135,14 +124,8 @@ repair::RepairOptions repairOptionsFromJson(const util::Json& json) {
   options.batch_validate = boolField("batch_validate", options.batch_validate);
   options.brute_force = boolField("brute_force", options.brute_force);
   options.use_crossover = boolField("use_crossover", options.use_crossover);
-  options.crossover_pairs =
-      intField("crossover_pairs", options.crossover_pairs);
-  options.coverage_guided_tests =
-      boolField("coverage_guided_tests", options.coverage_guided_tests);
   options.multipath = boolField("multipath", options.multipath);
   options.tolerance_k = intField("tolerance_k", options.tolerance_k);
-  options.tolerance_max_scenarios =
-      intField("tolerance_max_scenarios", options.tolerance_max_scenarios);
   options.symbolic = boolField("symbolic", options.symbolic);
   if (const util::Json* suspicion = json.find("symbolic_suspicion")) {
     if (suspicion->kind() == util::Json::Kind::kString) {

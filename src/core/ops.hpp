@@ -56,9 +56,7 @@ struct RepairOutcome {
 /// renders back to the same bytes. Deliberately excludes the knobs a replay
 /// must not inherit: time_budget_ms and validate_jobs (wall-clock knobs —
 /// leaving the latter out is what keeps recordings byte-identical at any
-/// --jobs value), cancel/recorder/baseline_sim/history (pointers), and
-/// sim_options (not reachable from the CLI; a recording made with
-/// non-default sim options is not replayable).
+/// --jobs value) and cancel/recorder/baseline_sim/history (pointers).
 [[nodiscard]] util::Json repairOptionsJson(const repair::RepairOptions& options);
 
 /// Inverse of repairOptionsJson; fields absent from `json` keep their

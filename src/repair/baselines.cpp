@@ -19,10 +19,9 @@ struct Judged {
 /// Compares the outcome network against the original per-test verdicts.
 Judged judge(const std::vector<verify::TestResult>& before,
              const topo::Network& after,
-             const std::vector<verify::Intent>& intents,
-             const route::SimOptions& sim_options, int samples) {
-  const verify::Verifier verifier(intents, sim_options);
-  const verify::VerifyResult verdict = verifier.verify(after, samples);
+             const std::vector<verify::Intent>& intents) {
+  const verify::Verifier verifier(intents);
+  const verify::VerifyResult verdict = verifier.verify(after);
   Judged judged;
   judged.resolved = true;
   for (std::size_t i = 0; i < before.size(); ++i) {
@@ -50,21 +49,16 @@ const cfg::LineInfo* resolveLine(
 }  // namespace
 
 BaselineResult provenanceRepair(const topo::Network& faulty,
-                                const std::vector<verify::Intent>& intents,
-                                const ProvenanceRepairOptions& options) {
+                                const std::vector<verify::Intent>& intents) {
   const auto started = std::chrono::steady_clock::now();
   BaselineResult result;
   result.method = "metaprov";
   result.repaired = faulty;
 
-  route::SimOptions sim_options = options.sim_options;
-  sim_options.record_provenance = true;
-  const route::SimResult sim = route::Simulator(faulty).run(sim_options);
-  const verify::Verifier verifier(intents, sim_options);
-  const std::vector<verify::TestCase> tests =
-      verify::generateTests(intents, options.samples_per_intent);
+  const route::SimResult sim = route::Simulator(faulty).run();
+  const verify::Verifier verifier(intents);
   const std::vector<verify::TestResult> before =
-      verifier.runTests(faulty, sim, tests);
+      verifier.runTests(faulty, sim, verify::generateTests(intents));
 
   const auto finish = [&]() {
     result.elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -113,9 +107,7 @@ BaselineResult provenanceRepair(const topo::Network& faulty,
         result.repaired = std::move(updated);
         result.changes.push_back('[' + proposal.template_name + "] " +
                                  proposal.description);
-        const Judged judged = judge(before, result.repaired, intents,
-                                    options.sim_options,
-                                    options.samples_per_intent);
+        const Judged judged = judge(before, result.repaired, intents);
         result.resolved = judged.resolved;
         result.regressions = judged.regressions;
         return finish();
@@ -139,14 +131,10 @@ BaselineResult synthesisRepair(const topo::Network& faulty,
   result.search_space =
       lines >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << lines);
 
-  route::SimOptions sim_options = options.sim_options;
-  sim_options.record_provenance = true;
-  const route::SimResult sim = route::Simulator(faulty).run(sim_options);
-  const verify::Verifier verifier(intents, sim_options);
-  const std::vector<verify::TestCase> tests =
-      verify::generateTests(intents, options.samples_per_intent);
+  const route::SimResult sim = route::Simulator(faulty).run();
+  const verify::Verifier verifier(intents);
   const std::vector<verify::TestResult> before =
-      verifier.runTests(faulty, sim, tests);
+      verifier.runTests(faulty, sim, verify::generateTests(intents));
 
   const auto finish = [&]() {
     result.elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -200,9 +188,7 @@ BaselineResult synthesisRepair(const topo::Network& faulty,
       topo::Network updated = base;
       if (!actions[i].apply(updated)) continue;
       ++result.explored;
-      const verify::Verifier full(intents, options.sim_options);
-      const verify::VerifyResult verdict =
-          full.verify(updated, options.samples_per_intent);
+      const verify::VerifyResult verdict = verifier.verify(updated);
       stack.push_back(i);
       if (verdict.tests_failed == 0) {
         result.repaired = std::move(updated);

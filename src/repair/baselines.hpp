@@ -36,20 +36,14 @@ struct BaselineResult {
   std::vector<std::string> changes;
 };
 
-struct ProvenanceRepairOptions {
-  int samples_per_intent = 1;
-  route::SimOptions sim_options;
-};
-
+/// Both baselines judge one sampled packet per intent, simulated with
+/// provenance under default SimOptions.
 [[nodiscard]] BaselineResult provenanceRepair(
-    const topo::Network& faulty, const std::vector<verify::Intent>& intents,
-    const ProvenanceRepairOptions& options = {});
+    const topo::Network& faulty, const std::vector<verify::Intent>& intents);
 
 struct SynthesisRepairOptions {
-  int samples_per_intent = 1;
   int max_change_depth = 2;       // subsets of atomic actions up to this size
   std::uint64_t budget = 200;     // validation budget
-  route::SimOptions sim_options;
 };
 
 [[nodiscard]] BaselineResult synthesisRepair(

@@ -8,7 +8,6 @@
 
 #include "fixgen/change.hpp"
 #include "localize/incremental.hpp"
-#include "localize/testgen.hpp"
 #include "obs/record.hpp"
 #include "obs/trace.hpp"
 #include "symbolic/symbolic.hpp"
@@ -51,6 +50,12 @@ std::string RepairResult::summary() const {
 
 namespace {
 
+// The search shape, fixed at the values every recording and benchmark uses.
+constexpr std::size_t kMaxCandidates = 4;  // population cap between iterations
+constexpr std::size_t kMaxProposalsPerLine = 4;  // per template and line
+constexpr int kCrossoverPairs = 2;  // recombination draws per iteration
+constexpr int kToleranceMaxScenarios = 64;  // k-failure scenarios enumerated
+
 struct Candidate {
   topo::Network network;
   std::vector<std::string> changes;
@@ -88,27 +93,19 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
   util::Histogram& validate_ms = metrics.histogram("repair.validate_ms");
   metrics.counter("repair.runs").add(1);
 
-  route::SimOptions validate_options = options_.sim_options;
+  route::SimOptions validate_options;
   validate_options.record_provenance = false;  // validation never needs it
-  route::SimOptions localize_options = options_.sim_options;
+  route::SimOptions localize_options;
   localize_options.record_provenance = true;
-  if (options_.multipath) localize_options.enable_ecmp = true;
+  localize_options.enable_ecmp = options_.multipath;
 
-  std::vector<verify::TestCase> tests;
-  if (options_.coverage_guided_tests) {
-    tests = sbfl::generateCoverageGuidedTests(faulty, intents_, {},
-                                              options_.sim_options)
-                .tests;
-  } else {
-    tests = verify::generateTests(intents_, options_.samples_per_intent);
-  }
   // k-failure tolerance report / violation count (empty/0 when disabled).
   const auto toleranceReport =
       [&](const topo::Network& updated) -> verify::FailureToleranceReport {
     if (options_.tolerance_k <= 0) return {};
     verify::FailureToleranceOptions tolerance_options;
     tolerance_options.max_link_failures = options_.tolerance_k;
-    tolerance_options.max_scenarios = options_.tolerance_max_scenarios;
+    tolerance_options.max_scenarios = kToleranceMaxScenarios;
     tolerance_options.samples_per_intent = options_.samples_per_intent;
     tolerance_options.sim_options = validate_options;
     return verify::verifyUnderFailures(updated, intents_, tolerance_options);
@@ -121,15 +118,15 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     return failures;
   };
 
-  verify::IncrementalVerifier main_verifier(intents_, tests, validate_options,
+  verify::IncrementalVerifier main_verifier(intents_, validate_options,
+                                            options_.samples_per_intent,
                                             options_.multipath);
+  const std::vector<verify::TestCase>& tests = main_verifier.tests();
   // A caller-provided pre-converged simulation (the acrd snapshot cache's
   // primed baseline) replaces the one full anchor simulation. Only without
-  // ECMP semantics: the seed is recorded without equal-cost sets.
+  // multipath: the seed is recorded without equal-cost sets.
   const route::SimResult* baseline_seed =
-      (!options_.multipath && !validate_options.enable_ecmp)
-          ? options_.baseline_sim
-          : nullptr;
+      options_.multipath ? nullptr : options_.baseline_sim;
   const verify::VerifyResult baseline =
       main_verifier.baseline(faulty, baseline_seed);
   const int baseline_fitness =
@@ -382,10 +379,8 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
               propose_span.attr("template", tmpl->name());
               from_template = tmpl->propose(context, score.line, *info);
             }
-            if (static_cast<int>(from_template.size()) >
-                options_.max_proposals_per_line) {
-              from_template.resize(
-                  static_cast<std::size_t>(options_.max_proposals_per_line));
+            if (from_template.size() > kMaxProposalsPerLine) {
+              from_template.resize(kMaxProposalsPerLine);
             }
             if (recorder != nullptr && !from_template.empty()) {
               recorder->templateFired(tmpl->name(), score.line.device,
@@ -581,11 +576,11 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
       std::optional<verify::CandidateBatch> crossover_batch;
       std::uniform_int_distribution<std::size_t> pick(
           0, next_population.size() - 1);
-      for (int pair = 0; pair < options_.crossover_pairs; ++pair) {
+      for (int pair = 0; pair < kCrossoverPairs; ++pair) {
         if (options_.cancel != nullptr &&
             options_.cancel->load(std::memory_order_relaxed)) {
           if (recorder != nullptr) {
-            recorder->crossover(options_.crossover_pairs, crossover_produced);
+            recorder->crossover(kCrossoverPairs, crossover_produced);
           }
           return finish(Termination::kCancelled, false);
         }
@@ -657,7 +652,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
         children.push_back(std::move(child));
       }
       if (recorder != nullptr) {
-        recorder->crossover(options_.crossover_pairs, crossover_produced);
+        recorder->crossover(kCrossoverPairs, crossover_produced);
       }
       for (auto& child : children) {
         next_population.push_back(std::move(child));
@@ -672,8 +667,8 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                 if (a.fitness != b.fitness) return a.fitness < b.fitness;
                 return a.changes.size() < b.changes.size();
               });
-    if (static_cast<int>(next_population.size()) > options_.max_candidates) {
-      next_population.resize(static_cast<std::size_t>(options_.max_candidates));
+    if (next_population.size() > kMaxCandidates) {
+      next_population.resize(kMaxCandidates);
     }
     stats.candidates_kept = static_cast<int>(next_population.size());
     // The paper: the iteration's fitness is the largest fitness among the
@@ -686,8 +681,11 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     result.repaired = population.front().network;
     result.changes = population.front().changes;
     result.final_failed = population.front().fitness;
-    // Re-anchor the differential cache at the current best candidate.
-    (void)main_verifier.update(population.front().network);
+    // Re-anchor the differential cache at the current best candidate. The
+    // full-verify oracle never reads the anchor, so it stays put there.
+    if (options_.use_incremental) {
+      (void)main_verifier.update(population.front().network);
+    }
   }
 
   return finish(Termination::kIterationLimit, false);

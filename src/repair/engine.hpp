@@ -38,8 +38,6 @@ struct RepairOptions {
   sbfl::Metric metric = sbfl::Metric::kTarantula;
   int max_iterations = 500;  // the paper's limit
   int top_k_lines = 3;       // suspicious lines explored per candidate
-  int max_candidates = 4;    // population cap between iterations
-  int max_proposals_per_line = 4;
   int samples_per_intent = 1;
   std::uint64_t seed = 1;
   /// DNA-style differential validation. Off, every candidate is scored by
@@ -52,10 +50,6 @@ struct RepairOptions {
   /// §4.2's genetic single-point crossover: recombine the change sequences
   /// of two surviving candidates into extra candidates each iteration.
   bool use_crossover = false;
-  int crossover_pairs = 2;
-  /// §6's test-suite generation: grow the suite coverage-guided (on the
-  /// faulty network) instead of one sample per intent, sharpening SBFL.
-  bool coverage_guided_tests = false;
   /// §3.2 observation (1): shared repair history biasing template draws
   /// towards patterns that resolved past incidents. Null disables. The
   /// engine records attempts/successes into it.
@@ -69,7 +63,6 @@ struct RepairOptions {
   /// tolerance). When the plain suite is green but tolerance is not, the
   /// engine localizes on the first violating degraded topology.
   int tolerance_k = 0;
-  int tolerance_max_scenarios = 64;
   /// Selective symbolic simulation (src/symbolic, docs/symbolic.md): before
   /// the concrete template loop, symbolize prefix-lists and local-pref/MED
   /// actions on suspect devices, solve all of them as one acr::smt
@@ -111,12 +104,11 @@ struct RepairOptions {
   /// recorded per-verdict `node` path differs. Only effective with
   /// use_incremental.
   bool batch_validate = true;
-  route::SimOptions sim_options;
   /// Optional pre-converged simulation of the faulty network (e.g. the acrd
   /// snapshot cache's primed baseline): adopted as the incremental
   /// verifier's anchor, skipping the one full baseline simulation. Non-
-  /// owning; must outlive repair(). Ignored under multipath/ECMP (the seed
-  /// is recorded without equal-cost sets).
+  /// owning; must outlive repair(). Ignored under multipath (the seed is
+  /// recorded without equal-cost sets).
   const route::SimResult* baseline_sim = nullptr;
   /// Optional flight recorder (docs/observability.md): the engine logs its
   /// full decision tree — suspect rankings, template instantiations, SMT

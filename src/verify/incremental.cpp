@@ -18,17 +18,6 @@ IncrementalVerifier::IncrementalVerifier(std::vector<Intent> intents,
   if (multipath_) sim_options_.enable_ecmp = true;
 }
 
-IncrementalVerifier::IncrementalVerifier(std::vector<Intent> intents,
-                                         std::vector<TestCase> tests,
-                                         route::SimOptions sim_options,
-                                         bool multipath)
-    : intents_(std::move(intents)),
-      tests_(std::move(tests)),
-      sim_options_(sim_options),
-      multipath_(multipath) {
-  if (multipath_) sim_options_.enable_ecmp = true;
-}
-
 void IncrementalVerifier::exportStats(util::MetricsRegistry& registry) const {
   registry.counter("verify.simulations").add(stats_.simulations);
   registry.counter("verify.tests_total").add(stats_.tests_total);

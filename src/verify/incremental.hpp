@@ -35,12 +35,6 @@ class IncrementalVerifier {
                                int samples_per_intent = 1,
                                bool multipath = false);
 
-  /// Runs an explicit test suite (e.g. a coverage-guided one) instead of the
-  /// default one-sample-per-intent suite.
-  IncrementalVerifier(std::vector<Intent> intents,
-                      std::vector<TestCase> tests,
-                      route::SimOptions sim_options, bool multipath = false);
-
   /// Full verification; primes the cache. When `seed_sim` is a compatible
   /// pre-converged simulation of `network` (e.g. the acrd snapshot cache's
   /// primed baseline), it is adopted instead of re-simulating — its rib,

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/scenarios.hpp"
 #include "faultinject/faults.hpp"
+#include "obs/trace.hpp"
 #include "verify/verifier.hpp"
 
 namespace acr::repair {
@@ -68,31 +71,37 @@ TEST(Engine, IncrementalAndFullValidationAgree) {
   EXPECT_EQ(b.tests_skipped, 0u);
 }
 
-TEST(Engine, FullValidationOracleRunsTheCoverageGuidedSuite) {
-  // The full-validation oracle must score candidates on the engine's own
-  // suite. A coverage-guided suite ignores samples_per_intent, so an oracle
-  // that regenerates `samples_per_intent` packets per intent judges a
-  // different suite than the baseline and the fitness rule do — and with
-  // two faults to repair, that shows in the discards and the history.
-  acr::Scenario scenario = acr::dcnScenario(3, 2);
+/// Two faults on dcn-3x2 (a missing redistribution plus an extra PBR
+/// redirect): a repair that takes more than one iteration, so the verifier
+/// anchor moves between rounds.
+topo::Network twoFaultDcnIncident(const acr::Scenario& scenario) {
   inject::FaultInjector injector(29);
   auto first = injector.inject(scenario.built,
                                inject::FaultType::kMissingRedistribution);
-  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first.has_value());
+  if (!first) return scenario.network();
   topo::BuiltNetwork compound = scenario.built;
   compound.network = first->network;
   auto second = injector.inject(compound, inject::FaultType::kExtraPbrRedirect);
-  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second.has_value());
+  return second ? second->network : first->network;
+}
+
+TEST(Engine, FullValidationOracleMatchesIncrementalOnTwoFaults) {
+  // The full-validation oracle must score candidates on the engine's own
+  // suite: at samples_per_intent=2 an oracle judging a different suite than
+  // the baseline and the fitness rule shows in the discards and the
+  // history of a multi-iteration repair.
+  const acr::Scenario scenario = acr::dcnScenario(3, 2);
+  const topo::Network faulty = twoFaultDcnIncident(scenario);
 
   RepairOptions options;
-  options.coverage_guided_tests = true;
   options.samples_per_intent = 2;
   options.use_incremental = true;
   const RepairResult incremental =
-      AcrEngine(scenario.intents, options).repair(second->network);
+      AcrEngine(scenario.intents, options).repair(faulty);
   options.use_incremental = false;
-  const RepairResult full =
-      AcrEngine(scenario.intents, options).repair(second->network);
+  const RepairResult full = AcrEngine(scenario.intents, options).repair(faulty);
   ASSERT_TRUE(incremental.success) << incremental.summary();
   EXPECT_GT(incremental.iterations, 1);
   EXPECT_EQ(incremental.changes, full.changes);
@@ -103,6 +112,39 @@ TEST(Engine, FullValidationOracleRunsTheCoverageGuidedSuite) {
     EXPECT_EQ(incremental.history[i].fitness, full.history[i].fitness)
         << "iteration " << i + 1;
   }
+}
+
+TEST(Engine, FullValidationOracleNeverReanchorsTheVerifier) {
+  // The oracle simulates every candidate from scratch and never reads the
+  // verifier's anchor, so moving the anchor between iterations (one delta
+  // simulation plus a re-judge, span verify.update) is pure waste there.
+  const acr::Scenario scenario = acr::dcnScenario(3, 2);
+  const topo::Network faulty = twoFaultDcnIncident(scenario);
+  const auto repairCountingReanchors = [&](bool use_incremental) {
+    RepairOptions options;
+    options.use_incremental = use_incremental;
+    obs::Tracer::global().clear();
+    obs::Tracer::global().setEnabled(true);
+    RepairResult result = AcrEngine(scenario.intents, options).repair(faulty);
+    obs::Tracer::global().setEnabled(false);
+    int reanchors = 0;
+    for (const auto& span : obs::Tracer::global().collect()) {
+      if (span.name == "verify.update") ++reanchors;
+    }
+    obs::Tracer::global().clear();
+    return std::make_pair(std::move(result), reanchors);
+  };
+
+  const auto [incremental, incremental_reanchors] =
+      repairCountingReanchors(true);
+  const auto [full, full_reanchors] = repairCountingReanchors(false);
+  ASSERT_TRUE(incremental.success) << incremental.summary();
+  ASSERT_GT(incremental.iterations, 1);
+  EXPECT_EQ(incremental_reanchors, incremental.iterations - 1);
+  EXPECT_EQ(full_reanchors, 0);
+  EXPECT_EQ(full.changes, incremental.changes);
+  EXPECT_EQ(full.iterations, incremental.iterations);
+  EXPECT_EQ(full.validations, incremental.validations);
 }
 
 TEST(Engine, IncrementalValidationSkipsUnaffectedTests) {

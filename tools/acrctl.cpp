@@ -5,7 +5,7 @@
 //   acrctl verify  DIR
 //   acrctl triage  DIR [--metric tarantula|ochiai|jaccard|dstar2]
 //   acrctl repair  DIR [--out DIR2] [--metric M] [--brute-force]
-//                      [--crossover] [--coverage-guided] [--symbolic]
+//                      [--crossover] [--multipath] [--symbolic]
 //                      [--seed S] [--jobs N] [--metrics|--metrics-json]
 //                      [--trace|--trace-json] [--record PATH]
 //                      [--obs-out PATH]
@@ -58,7 +58,7 @@ using namespace acr;
       "  acrctl verify  DIR\n"
       "  acrctl triage  DIR [--metric tarantula|ochiai|jaccard|dstar2]\n"
       "  acrctl repair  DIR [--out DIR2] [--metric M] [--brute-force]\n"
-      "                 [--crossover] [--coverage-guided] [--multipath]\n"
+      "                 [--crossover] [--multipath]\n"
       "                 [--symbolic] [--symbolic-threshold F]\n"
       "                 [--symbolic-vars N] [--symbolic-forks N]\n"
       "                 [--report] [--seed S] [--jobs N] [--top-k N]\n"
@@ -167,9 +167,8 @@ FlagSpec specFor(const std::string& command) {
   if (command == "repair") {
     return {{"out", "metric", "seed", "jobs", "top-k", "record", "obs-out",
              "symbolic-threshold", "symbolic-vars", "symbolic-forks"},
-            {"brute-force", "crossover", "coverage-guided", "multipath",
-             "symbolic", "report", "metrics", "metrics-json", "trace",
-             "trace-json"}};
+            {"brute-force", "crossover", "multipath", "symbolic", "report",
+             "metrics", "metrics-json", "trace", "trace-json"}};
   }
   if (command == "explain") return {{"replay"}, {}};
   if (command == "tolerance") return {{"k"}, {}};
@@ -374,7 +373,6 @@ int cmdRepair(const Args& args) {
   options.metric = metricByName(args.get("metric", "tarantula"));
   options.brute_force = args.has("brute-force");
   options.use_crossover = args.has("crossover");
-  options.coverage_guided_tests = args.has("coverage-guided");
   options.multipath = args.has("multipath");
   // --symbolic: selective symbolic simulation (docs/symbolic.md) — solve
   // multi-line, multi-device fixes as one SMT conjunction before the
