@@ -13,8 +13,15 @@
 
 namespace acr::service {
 
-Client::Client(const std::string& host, int port, const ClientOptions& options)
-    : options_(options) {
+namespace {
+
+/// A dead or wedged port must not hang `acrctl remote` for the kernel's
+/// minutes-long connect timeout.
+constexpr int kConnectTimeoutMs = 5000;
+
+}  // namespace
+
+Client::Client(const std::string& host, int port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
@@ -26,23 +33,21 @@ Client::Client(const std::string& host, int port, const ClientOptions& options)
     ::close(fd_);
     throw std::runtime_error("bad address " + host);
   }
-  // Non-blocking connect so a dead or wedged node fails within
-  // connect_timeout_ms instead of the kernel's minutes-long default.
+  // Non-blocking connect so a dead or wedged port fails within
+  // kConnectTimeoutMs.
   const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (options_.connect_timeout_ms > 0) {
-    ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  }
+  ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   int rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&address),
                      sizeof(address));
   if (rc != 0 && errno == EINPROGRESS) {
     pollfd waiter{fd_, POLLOUT, 0};
-    const int ready = ::poll(&waiter, 1, options_.connect_timeout_ms);
+    const int ready = ::poll(&waiter, 1, kConnectTimeoutMs);
     if (ready <= 0) {
       ::close(fd_);
       fd_ = -1;
       throw std::runtime_error(
           "cannot connect to " + host + ":" + std::to_string(port) +
-          ": timed out after " + std::to_string(options_.connect_timeout_ms) +
+          ": timed out after " + std::to_string(kConnectTimeoutMs) +
           "ms (is acrd running?)");
     }
     int error = 0;
@@ -59,7 +64,7 @@ Client::Client(const std::string& host, int port, const ClientOptions& options)
                              std::to_string(port) + ": " + reason +
                              " (is acrd running?)");
   }
-  if (options_.connect_timeout_ms > 0) ::fcntl(fd_, F_SETFL, flags);
+  ::fcntl(fd_, F_SETFL, flags);
 }
 
 Client::~Client() {
@@ -83,19 +88,6 @@ Json Client::call(const Json& request) {
       std::optional<Json> parsed = Json::parse(response);
       if (!parsed) throw std::runtime_error("malformed response: " + response);
       return std::move(*parsed);
-    }
-    if (options_.io_timeout_ms > 0) {
-      pollfd waiter{fd_, POLLIN, 0};
-      const int ready = ::poll(&waiter, 1, options_.io_timeout_ms);
-      if (ready == 0) {
-        throw std::runtime_error("acrd response timed out after " +
-                                 std::to_string(options_.io_timeout_ms) +
-                                 "ms");
-      }
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw std::runtime_error(std::string("poll: ") + std::strerror(errno));
-      }
     }
     char chunk[4096];
     const ssize_t received = ::recv(fd_, chunk, sizeof(chunk), 0);

@@ -1,7 +1,7 @@
 // Blocking client for the acrd wire protocol (docs/service.md): one TCP
 // connection, one request line out, one response line back per call().
-// `acrctl remote` is a thin shell around this; tests, benches and the
-// fleet router drive it directly.
+// `acrctl remote` is a thin shell around this; tests and benches drive it
+// directly.
 #pragma once
 
 #include <string>
@@ -10,22 +10,11 @@
 
 namespace acr::service {
 
-struct ClientOptions {
-  /// Give up connecting after this long (a dead node must not hang the
-  /// caller — the fleet router polls many nodes). 0 = block forever.
-  int connect_timeout_ms = 5000;
-  /// Per-call() ceiling on waiting for response bytes. 0 = block forever:
-  /// the right default, because a `submit` with "wait":true legitimately
-  /// blocks for the whole repair. Set it for control-plane calls (stats,
-  /// status) that should answer in milliseconds.
-  int io_timeout_ms = 0;
-};
-
 class Client {
  public:
   /// Connects immediately; throws std::runtime_error when acrd is not
-  /// listening on host:port or does not accept within connect_timeout_ms.
-  Client(const std::string& host, int port, const ClientOptions& options = {});
+  /// listening on host:port or does not accept within 5 s.
+  Client(const std::string& host, int port);
   ~Client();
 
   Client(const Client&) = delete;
@@ -33,12 +22,10 @@ class Client {
 
   /// Sends one request, blocks for its response line (a `submit` with
   /// "wait":true blocks until the job finished server-side). Throws
-  /// std::runtime_error on connection loss, a malformed response, or an
-  /// io_timeout_ms overrun.
+  /// std::runtime_error on connection loss or a malformed response.
   [[nodiscard]] Json call(const Json& request);
 
  private:
-  const ClientOptions options_;
   int fd_ = -1;
   std::string buffer_;  // bytes past the last consumed response line
 };

@@ -64,8 +64,9 @@ EventLoop::EventLoop(RepairService& service, const EventLoopOptions& options)
     ::close(listen_fd_);
     throw std::runtime_error("bad listen address " + options_.host);
   }
-  // Backlog sized for fleet fan-in: bench_fleet opens thousands of
-  // connections in a burst and SOMAXCONN (typically 4096+) absorbs it.
+  // Backlog sized for connection bursts: bench_service_throughput opens
+  // thousands of connections at once and SOMAXCONN (typically 4096+)
+  // absorbs it.
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
              sizeof address) != 0 ||
       ::listen(listen_fd_, SOMAXCONN) != 0) {

@@ -101,8 +101,8 @@ class JobScheduler {
   /// Running job: raises its flag (the job decides when to stop; its status
   /// becomes kCancelled when it returns). False: unknown or already done.
   /// `only_if_queued` refuses to touch a running job (returns false and
-  /// leaves it alone) — the fleet router's work-stealing path migrates
-  /// queued jobs to another node and must never kill one mid-run.
+  /// leaves it alone), so a caller can withdraw queued work without ever
+  /// killing a job mid-run.
   bool cancel(std::uint64_t id, bool only_if_queued = false);
 
   /// Stops admitting and blocks until every queued + running job finished.

@@ -432,9 +432,9 @@ Json RepairService::handleCancel(const Json& request) {
   const std::uint64_t id = id_field->asUint();
   const std::optional<JobStatus> status = scheduler_.status(id);
   if (!status) return errorResponse("unknown job id");
-  // "if_queued": only dequeue a job that has not started — the fleet
-  // router's rebalance path migrates queued work and must never kill a
-  // running job. Plain cancel keeps its raise-the-flag semantics.
+  // "if_queued": only dequeue a job that has not started — a client that
+  // resubmits queued work elsewhere must never kill a running job. Plain
+  // cancel keeps its raise-the-flag semantics.
   const bool if_queued = request.find("if_queued") != nullptr &&
                          request.find("if_queued")->asBool();
   if (!scheduler_.cancel(id, if_queued)) {

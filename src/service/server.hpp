@@ -18,7 +18,7 @@
 //
 // TcpServer speaks the newline-delimited JSON protocol over a local TCP
 // socket: one request line in, one response line out, any number of
-// exchanges per connection. Since the fleet PR it is an epoll event loop
+// exchanges per connection. It is an epoll event loop
 // (src/service/event_loop.hpp) — thousands of idle connections cost no
 // threads — instead of the original thread-per-connection design.
 // Requests on one connection are still answered strictly in order.

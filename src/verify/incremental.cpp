@@ -18,15 +18,6 @@ IncrementalVerifier::IncrementalVerifier(std::vector<Intent> intents,
   if (multipath_) sim_options_.enable_ecmp = true;
 }
 
-void IncrementalVerifier::exportStats(util::MetricsRegistry& registry) const {
-  registry.counter("verify.simulations").add(stats_.simulations);
-  registry.counter("verify.tests_total").add(stats_.tests_total);
-  registry.counter("verify.tests_reverified").add(stats_.tests_reverified);
-  registry.counter("verify.tests_skipped").add(stats_.tests_skipped);
-  registry.counter("verify.delta_sims").add(stats_.delta_sims);
-  registry.counter("verify.delta_fallbacks").add(stats_.delta_fallbacks);
-}
-
 VerifyResult IncrementalVerifier::toVerifyResult() const {
   VerifyResult out;
   out.results = cached_results_;
@@ -54,7 +45,6 @@ VerifyResult IncrementalVerifier::baseline(const topo::Network& network,
     ++stats_.simulations;
   }
   cached_results_ = verifier.runTests(network, sim, tests_);
-  stats_.tests_total += tests_.size();
   stats_.tests_reverified += tests_.size();
   cached_sim_ = std::move(sim);
   cached_network_ = network;
@@ -92,7 +82,6 @@ VerifyResult IncrementalVerifier::update(const topo::Network& network) {
       route::DeltaTree(*cached_network_, *cached_sim_, sim_options_)
           .run(network, changed, &leaf);
   ++stats_.simulations;
-  ++(leaf.used_delta ? stats_.delta_sims : stats_.delta_fallbacks);
   // Changed devices catch data-plane-only edits such as PBR rules.
   rejudge(network, sim, {changed.begin(), changed.end()},
           changedPrefixes(sim, leaf), cached_results_, stats_);
@@ -136,7 +125,6 @@ void IncrementalVerifier::rejudge(
   const dp::DataPlane dataplane(network, sim);
 
   for (std::size_t i = 0; i < tests_.size(); ++i) {
-    ++stats.tests_total;
     TestResult& cached = results[i];
     bool must_recheck = !cached.passed;
     if (!must_recheck) {

@@ -23,7 +23,6 @@
 #include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 #include "topo/network.hpp"
-#include "util/metrics.hpp"
 #include "verify/verifier.hpp"
 
 namespace acr::verify {
@@ -49,21 +48,11 @@ class IncrementalVerifier {
 
   struct Stats {
     std::uint64_t simulations = 0;
-    std::uint64_t tests_total = 0;
     std::uint64_t tests_reverified = 0;
     std::uint64_t tests_skipped = 0;
-    /// update() simulations served by the delta tree's incremental path vs.
-    /// those that fell back to a full run (both also count `simulations`).
-    std::uint64_t delta_sims = 0;
-    std::uint64_t delta_fallbacks = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   void resetStats() { stats_ = {}; }
-
-  /// Adds this verifier's counters into a metrics registry (the names are
-  /// documented in docs/architecture.md §Metrics): verify.simulations,
-  /// verify.tests_total, verify.tests_reverified, verify.tests_skipped.
-  void exportStats(util::MetricsRegistry& registry) const;
 
   [[nodiscard]] const route::SimResult* cachedSim() const {
     return cached_sim_ ? &*cached_sim_ : nullptr;

@@ -91,5 +91,6 @@ expect_exit 1 "bad scenario dir"    "$ACRCTL" verify "$WORK/does-not-exist"
 expect_exit 2 "remote without port" "$ACRCTL" remote stats
 expect_exit 2 "bad remote verb"     "$ACRCTL" remote frobnicate
 expect_exit 1 "remote no daemon"    "$ACRCTL" remote stats --port 1
+expect_exit 2 "removed fleet verb"  "$ACRCTL" fleet stats --nodes 127.0.0.1:1
 
 echo "acrctl smoke: OK"

@@ -3,7 +3,8 @@
 #   boot (ephemeral port) -> remote verify/repair byte-identical to the
 #   offline runs -> repeated submits hit the snapshot cache -> job
 #   lifecycle (status/result) -> shutdown verb drains gracefully ->
-#   a second daemon dies cleanly on SIGTERM.
+#   a second, traced daemon dies cleanly on SIGTERM and leaves a valid
+#   trace file.
 set -u
 
 ACRCTL="$1"
@@ -87,9 +88,9 @@ wait "$ACRD_PID"
 grep -q "drained, bye" "$WORK/acrd.log" || fail "acrd drain banner"
 ACRD_PID=""
 
-# SIGTERM is the other graceful path.
+# SIGTERM is the other graceful path; it must still flush --trace-file.
 "$ACRD" --port-file "$WORK/port2" --workers 1 --no-cache \
-  > "$WORK/acrd2.log" 2>&1 &
+  --trace-file "$WORK/acrd2_trace.json" > "$WORK/acrd2.log" 2>&1 &
 ACRD_PID="$!"
 wait_for_port_file "$WORK/port2"
 PORT2="$(cat "$WORK/port2")"
@@ -107,5 +108,7 @@ fi
 wait "$ACRD_PID"
 [ "$?" = "0" ] || fail "acrd should exit 0 on SIGTERM"
 ACRD_PID=""
+python3 -m json.tool "$WORK/acrd2_trace.json" > /dev/null \
+  || fail "trace file written on SIGTERM is not valid JSON"
 
 echo "acrd smoke: OK"

@@ -3,8 +3,9 @@
 #   repair --trace-json/--record -> trace is valid Chrome JSON with the
 #   expected spans -> recording validates against the checked-in schema ->
 #   explain renders -> explain --replay reproduces the recording
-#   byte-identically (twice) -> traced acrd run exports a trace -> no
-#   open-span warnings anywhere.
+#   byte-identically (twice), rejects a doctored one and tolerates an
+#   option key this build no longer reads -> traced acrd run exports a
+#   trace -> no open-span warnings anywhere.
 set -u
 
 ACRCTL="$1"
@@ -99,6 +100,19 @@ sed 's/"accepted":true/"accepted":false/' "$WORK/rec.jsonl" \
   > /dev/null 2> "$WORK/tampered.err"
 [ "$?" = "1" ] || fail "tampered recording should fail replay"
 grep -q "MISMATCH" "$WORK/tampered.err" || fail "tampered replay verdict"
+
+# A recording from a build that recorded an option this build no longer
+# reads still replays: the key is reported on stderr, not a mismatch.
+sed '1s/"options":{/"options":{"coverage_guided_tests":false,/' \
+  "$WORK/rec.jsonl" > "$WORK/old_options.jsonl"
+grep -q '"coverage_guided_tests":false' "$WORK/old_options.jsonl" \
+  || fail "old-options recording not built"
+"$ACRCTL" explain "$WORK/old_options.jsonl" --replay "$WORK/faulty" \
+  > "$WORK/old_options.out" 2> "$WORK/old_options.err" \
+  || fail "recording with an unread option should replay"
+grep -q "replay: OK" "$WORK/old_options.out" || fail "old-options replay verdict"
+grep -q "ignoring recorded option(s).*coverage_guided_tests" \
+  "$WORK/old_options.err" || fail "unread option not reported on stderr"
 
 # --- traced daemon --------------------------------------------------------
 "$ACRD" --port-file "$WORK/port" --trace-file "$WORK/acrd_trace.json" \

@@ -260,8 +260,8 @@ TEST(EventLoop, OversizedRequestLineIsRejectedAndDropped) {
 }
 
 TEST(EventLoop, ThousandsOfIdleConnectionsCostNoThreads) {
-  // Scaled to stay fast under sanitizers; bench_fleet holds the full 5k
-  // gate. The invariant is the same at any count: accepting N idle
+  // Scaled to stay fast under sanitizers; bench_service_throughput holds
+  // the full 5k gate. The invariant is the same at any count: accepting N idle
   // connections creates zero threads.
   constexpr int kConnections = 512;
   LoopFixture fixture;

@@ -34,7 +34,6 @@
 #include "core/acr.hpp"
 #include "core/ops.hpp"
 #include "core/serialization.hpp"
-#include "fleet/router.hpp"
 #include "localize/coverage.hpp"
 #include "localize/sbfl.hpp"
 #include "obs/record.hpp"
@@ -76,10 +75,6 @@ using namespace acr;
       "  acrctl remote status|result|cancel ID [--wait]\n"
       "  acrctl remote stats | shutdown\n"
       "         (all remote verbs: [--host H] --port P)\n"
-      "  acrctl fleet submit DIR[,DIR...] --nodes H:P[,H:P...]\n"
-      "                [--command repair|verify] [--seed S] [--metric M]\n"
-      "                [--priority N] [--report] [--wait] [--jobs N]\n"
-      "  acrctl fleet stats|rebalance --nodes H:P[,H:P...]\n"
       "\n"
       "scenarios: figure2 | figure2-faulty | dcn-<pods>x<tors> | backbone-<n>\n"
       "--jobs 0 = one worker per hardware thread; results are identical at\n"
@@ -102,10 +97,7 @@ using namespace acr;
       "submit --wait` exits with the job's own exit code. A backpressured\n"
       "submit (rejection carrying retry_after_ms) retries with bounded\n"
       "exponential backoff + jitter (--retries, --retry-budget-ms) before\n"
-      "giving up with exit 1.\n"
-      "`fleet` drives several acrd workers through the consistent-hash\n"
-      "router (docs/architecture.md §15): multiple DIRs become one\n"
-      "submit_batch split across shard owners.\n",
+      "giving up with exit 1.\n",
       stderr);
   std::exit(2);
 }
@@ -452,21 +444,17 @@ int cmdExplain(const Args& args) {
 
   const std::string replay_dir = args.get("replay");
   if (replay_dir.empty()) return 0;
-  const util::Json* begin = nullptr;
-  for (const util::Json& event : events) {
-    const util::Json* kind = event.find("event");
-    if (kind != nullptr && kind->kind() == util::Json::Kind::kString &&
-        kind->asString() == "begin") {
-      begin = &event;
-      break;
-    }
-  }
-  if (begin == nullptr) {
-    std::fprintf(stderr, "replay: recording has no begin event\n");
+  const util::Json* kind =
+      events.empty() ? nullptr : events.front().find("event");
+  if (kind == nullptr || kind->kind() != util::Json::Kind::kString ||
+      kind->asString() != "begin") {
+    std::fprintf(stderr, "replay: recording does not start with a begin "
+                         "event\n");
     return 1;
   }
+  const util::Json& begin = events.front();
   const LoadedScenario loaded = LoadScenario(replay_dir);
-  const util::Json* hash = begin->find("scenario_hash");
+  const util::Json* hash = begin.find("scenario_hash");
   if (hash == nullptr || hash->asUint() != loaded.content_hash) {
     std::fprintf(stderr,
                  "replay: scenario fingerprint mismatch (recorded %llu, %s "
@@ -477,15 +465,42 @@ int cmdExplain(const Args& args) {
                  static_cast<unsigned long long>(loaded.content_hash));
     return 1;
   }
-  const util::Json* options_json = begin->find("options");
-  repair::RepairOptions options = ops::repairOptionsFromJson(
-      options_json != nullptr ? *options_json : util::Json{});
+  const util::Json* options_json = begin.find("options");
+  const util::Json recorded_options =
+      options_json != nullptr ? *options_json : util::Json{};
+  repair::RepairOptions options = ops::repairOptionsFromJson(recorded_options);
+  const util::Json normalised_options = ops::repairOptionsJson(options);
+  // The begin event is compared with its options normalised through this
+  // build's codec, so a key that an older build recorded and this one no
+  // longer reads is reported instead of failing the replay. Every later
+  // event must still match byte for byte: a behavioural difference fails.
+  if (recorded_options.isObject()) {
+    std::string ignored;
+    for (const auto& [key, value] : recorded_options.asObject()) {
+      if (normalised_options.find(key) != nullptr) continue;
+      ignored += (ignored.empty() ? "" : ", ") + key;
+    }
+    if (!ignored.empty()) {
+      std::fprintf(stderr,
+                   "replay: ignoring recorded option(s) this build does not "
+                   "read: %s\n",
+                   ignored.c_str());
+    }
+  }
+  util::Json expected_begin = begin;
+  expected_begin.set("options", normalised_options);
+  const std::size_t first_newline = text.find('\n');
+  const std::string expected =
+      expected_begin.str() + '\n' +
+      (first_newline == std::string::npos ? std::string()
+                                          : text.substr(first_newline + 1));
+
   obs::FlightRecorder replay;
   replay.beginRepair(loaded.scenario.name, loaded.content_hash,
-                     loaded.content_bytes, ops::repairOptionsJson(options));
+                     loaded.content_bytes, normalised_options);
   options.recorder = &replay;
   (void)ops::repairScenario(loaded.scenario, options, false);
-  if (replay.text() == text) {
+  if (replay.text() == expected) {
     std::printf("replay: OK — %zu event(s) reproduced byte-identically\n",
                 replay.lines().size());
     return 0;
@@ -493,7 +508,9 @@ int cmdExplain(const Args& args) {
   // Point at the first diverging line so a mismatch is debuggable.
   std::size_t line = 0;
   for (; line < events.size() && line < replay.lines().size(); ++line) {
-    if (events[line].str() != replay.lines()[line]) break;
+    const std::string recorded =
+        line == 0 ? expected_begin.str() : events[line].str();
+    if (recorded != replay.lines()[line]) break;
   }
   std::fprintf(stderr,
                "replay: MISMATCH at event %zu (recorded %zu, replay produced "
@@ -693,138 +710,6 @@ int cmdRemote(int argc, char** argv) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// fleet — drive several acrd workers through the consistent-hash router
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> splitCommas(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > start) parts.push_back(text.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return parts;
-}
-
-std::vector<fleet::FleetNodeConfig> parseNodes(const Args& args) {
-  std::vector<fleet::FleetNodeConfig> nodes;
-  for (const std::string& spec : splitCommas(args.get("nodes"))) {
-    const std::size_t colon = spec.rfind(':');
-    if (colon == std::string::npos) {
-      usage(("--nodes entry '" + spec + "' is not HOST:PORT").c_str());
-    }
-    nodes.push_back(fleet::FleetNodeConfig{
-        spec.substr(0, colon), std::stoi(spec.substr(colon + 1))});
-  }
-  if (nodes.empty()) usage("fleet requires --nodes H:P[,H:P...]");
-  return nodes;
-}
-
-int cmdFleet(int argc, char** argv) {
-  if (argc < 3) usage("fleet requires a verb (submit|stats|rebalance)");
-  const std::string verb = argv[2];
-  FlagSpec spec{{"nodes"}, {}};
-  if (verb == "submit") {
-    spec.value_flags.insert({"command", "seed", "metric", "priority", "jobs"});
-    spec.bool_flags.insert({"report", "wait"});
-  } else if (verb != "stats" && verb != "rebalance") {
-    usage(("unknown fleet verb '" + verb + "'").c_str());
-  }
-  const Args args = parseArgs(argc, argv, 3, spec);
-  fleet::FleetRouter router(parseNodes(args));
-
-  if (verb == "stats") {
-    std::printf("%s\n", router.stats().str().c_str());
-    return 0;
-  }
-  if (verb == "rebalance") {
-    const int migrated = router.rebalance();
-    std::printf("migrated %d queued job(s)\n", migrated);
-    return 0;
-  }
-
-  if (args.positional.empty()) {
-    usage("fleet submit requires DIR[,DIR...]");
-  }
-  const std::vector<std::string> dirs = splitCommas(args.positional);
-  service::Json request;
-  request.set("command", args.get("command", "repair"));
-  if (args.has("metric")) {
-    metricByName(args.get("metric"));  // typos fail locally with exit 2
-    request.set("metric", args.get("metric"));
-  }
-  if (args.has("seed")) {
-    request.set("seed",
-                static_cast<std::uint64_t>(std::stoull(args.get("seed"))));
-  }
-  if (args.has("jobs")) request.set("jobs", std::stoi(args.get("jobs")));
-  if (args.has("priority")) {
-    request.set("priority", std::stoi(args.get("priority")));
-  }
-  if (args.has("report")) request.set("report", true);
-  if (args.has("wait")) request.set("wait", true);
-
-  if (dirs.size() == 1) {
-    request.set("op", "submit");
-    request.set("dir", dirs.front());
-    const service::Json response = router.submit(request);
-    const service::Json* ok = response.find("ok");
-    if (ok == nullptr || !ok->asBool()) return remoteFailure(response);
-    if (!args.has("wait")) {
-      const service::Json* id = response.find("id");
-      std::printf("job %llu queued on %s\n",
-                  static_cast<unsigned long long>(
-                      id != nullptr ? id->asUint() : 0),
-                  router.nodeFor(dirs.front()).c_str());
-      return 0;
-    }
-    return printJobResult(response);
-  }
-
-  // Many dirs: one submit_batch, split across shard owners by the router.
-  // With --wait every per-incident output prints in item order, exactly
-  // the bytes N sequential offline runs would print.
-  request.set("op", "submit_batch");
-  service::Json::Array items;
-  items.reserve(dirs.size());
-  for (const std::string& dir : dirs) {
-    service::Json item;
-    item.set("dir", dir);
-    items.push_back(std::move(item));
-  }
-  request.set("items", service::Json(std::move(items)));
-  const service::Json response = router.submitBatch(request);
-  const service::Json* ok = response.find("ok");
-  const service::Json* jobs = response.find("jobs");
-  if (ok == nullptr || !ok->asBool() || jobs == nullptr) {
-    return remoteFailure(response);
-  }
-  int exit_code = 0;
-  for (std::size_t i = 0; i < jobs->asArray().size(); ++i) {
-    const service::Json& entry = jobs->asArray()[i];
-    const service::Json* entry_ok = entry.find("ok");
-    if (entry_ok == nullptr || !entry_ok->asBool()) {
-      (void)remoteFailure(entry);
-      exit_code = 1;
-      continue;
-    }
-    if (args.has("wait")) {
-      if (printJobResult(entry) != 0) exit_code = 1;
-    } else {
-      const service::Json* id = entry.find("id");
-      std::printf("job %llu queued on %s\n",
-                  static_cast<unsigned long long>(
-                      id != nullptr ? id->asUint() : 0),
-                  router.nodeFor(dirs[i]).c_str());
-    }
-  }
-  return exit_code;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -832,7 +717,6 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     if (command == "remote") return cmdRemote(argc, argv);
-    if (command == "fleet") return cmdFleet(argc, argv);
     const std::set<std::string> known = {
         "export",   "inject",    "verify",   "triage",     "repair",
         "explain",  "tolerance", "campaign", "list-faults"};
