@@ -28,21 +28,16 @@ int main() {
 
   bench::section("Tarantula suspiciousness, router A (cf. Figure 2b)");
   const verify::Verifier verifier(scenario.intents, sim_options);
-  const auto tests = verify::generateTests(scenario.intents, 1);
-  const auto results = verifier.runTests(scenario.network(), sim, tests);
-  sbfl::Spectrum spectrum;
-  std::vector<std::set<cfg::LineId>> coverage;
-  for (const auto& result : results) {
-    coverage.push_back(sbfl::coverageOf(scenario.network(), sim, result));
-    spectrum.addTest(coverage.back(), result.passed);
-  }
+  const sbfl::SuiteRun suite =
+      sbfl::runSuite(scenario.network(), sim, verifier,
+                     verify::generateTests(scenario.intents, 1));
   const cfg::DeviceConfig* a = scenario.network().config("A");
   bench::Table table({"Line", "Configuration", "failed(s)", "passed(s)",
                       "Suspiciousness"},
                      {6, 52, 10, 10, 15});
   table.printHeader();
   const auto index = a->buildLineIndex();
-  const auto ranked = spectrum.rank(sbfl::Metric::kTarantula);
+  const auto ranked = suite.spectrum.rank(sbfl::Metric::kTarantula);
   for (const auto& [line_no, info] : index) {
     double score = 0;
     int failed = 0, passed = 0;
@@ -60,11 +55,8 @@ int main() {
   table.printRule();
 
   bench::section("Solved symbolic value (P and not F)");
-  const std::vector<sbfl::ResultRow> rows(results.begin(), results.end());
-  const std::vector<sbfl::CoverageRow> cov_rows(coverage.begin(),
-                                                coverage.end());
   const fix::RepairContext context{scenario.network(), sim, scenario.intents,
-                                   rows, cov_rows};
+                                   suite.results, suite.coverage};
   const fix::PrefixListConstraints constraints = fix::collectListConstraints(
       context, "A", *a->findPrefixList("default_all"));
   std::printf("P (must stay in var):");

@@ -54,16 +54,13 @@ route-policy Override_All permit node 20
   const route::SimResult sim =
       route::Simulator(scenario.network()).run(options);
   const verify::Verifier verifier(scenario.intents, options);
-  const auto tests = verify::generateTests(scenario.intents, 1);
-  const auto results = verifier.runTests(scenario.network(), sim, tests);
+  const sbfl::SuiteRun suite =
+      sbfl::runSuite(scenario.network(), sim, verifier,
+                     verify::generateTests(scenario.intents, 1));
 
   std::puts("\n--- violations ---");
-  sbfl::Spectrum spectrum;
-  std::vector<std::set<cfg::LineId>> coverage;
   int failing = 0;
-  for (const auto& result : results) {
-    coverage.push_back(sbfl::coverageOf(scenario.network(), sim, result));
-    spectrum.addTest(coverage.back(), result.passed);
+  for (const auto& result : suite.results) {
     if (!result.passed) {
       ++failing;
       std::printf("  %s: %s [%s]\n",
@@ -78,7 +75,7 @@ route-policy Override_All permit node 20
 
   std::puts("\n--- suspiciousness by device ---");
   std::map<std::string, double> device_max;
-  for (const auto& score : spectrum.rank(sbfl::Metric::kTarantula)) {
+  for (const auto& score : suite.spectrum.rank(sbfl::Metric::kTarantula)) {
     device_max.try_emplace(score.line.device, score.suspiciousness);
   }
   for (const auto& [device, score] : device_max) {
@@ -87,13 +84,10 @@ route-policy Override_All permit node 20
   }
 
   std::puts("\n--- top suspicious lines and applicable templates ---");
-  const std::vector<sbfl::ResultRow> rows(results.begin(), results.end());
-  const std::vector<sbfl::CoverageRow> cov_rows(coverage.begin(),
-                                                coverage.end());
   const fix::RepairContext context{scenario.network(), sim, scenario.intents,
-                                   rows, cov_rows};
+                                   suite.results, suite.coverage};
   int shown = 0;
-  for (const auto& score : spectrum.rank(sbfl::Metric::kTarantula)) {
+  for (const auto& score : suite.spectrum.rank(sbfl::Metric::kTarantula)) {
     if (score.failed_cover == 0 || shown >= 6) break;
     const cfg::DeviceConfig* device = scenario.network().config(score.line.device);
     if (device == nullptr) continue;

@@ -60,8 +60,8 @@ std::string renderVerifyText(const Scenario& scenario,
 VerifyOutcome verifyScenario(const Scenario& scenario) {
   VerifyOutcome outcome;
   outcome.sim = route::Simulator(scenario.network()).run();
-  const verify::Verifier verifier(scenario.intents, route::SimOptions{});
-  outcome.result = verifier.verify(scenario.network());
+  outcome.result = verify::Verifier(scenario.intents)
+                       .verifyWithSim(scenario.network(), outcome.sim);
   outcome.text = renderVerifyText(scenario, outcome.sim, outcome.result);
   outcome.ok = verifyOk(outcome.sim, outcome.result);
   return outcome;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "config/ast.hpp"
-#include "localize/rows.hpp"
 #include "localize/sbfl.hpp"
 #include "routing/simulator.hpp"
 #include "topo/network.hpp"
@@ -30,12 +29,9 @@ struct RepairContext {
   const topo::Network& network;
   const route::SimResult& sim;
   const std::vector<verify::Intent>& intents;
-  /// Copy-on-write rows (localize/rows.hpp): the incremental localizer
-  /// shares unchanged rows with its anchor instead of deep-copying them per
-  /// candidate. Rows read as their underlying type.
-  const std::vector<sbfl::ResultRow>& results;
+  const std::vector<verify::TestResult>& results;
   /// Per-test coverage, parallel to `results`.
-  const std::vector<sbfl::CoverageRow>& coverage;
+  const std::vector<std::set<cfg::LineId>>& coverage;
 
   [[nodiscard]] const verify::Intent& intentOf(
       const verify::TestResult& result) const {

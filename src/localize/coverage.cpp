@@ -6,18 +6,13 @@ namespace acr::sbfl {
 
 std::set<cfg::LineId> coverageOf(const topo::Network& network,
                                  const route::SimResult& sim,
-                                 const verify::TestResult& result,
-                                 ProbeFootprint* footprint) {
+                                 const verify::TestResult& result) {
   std::set<cfg::LineId> lines = result.trace.coveredLines(sim.provenance);
   const net::Ipv4Address dst = result.test.packet.dst;
-  if (footprint != nullptr) {
-    for (const auto& hop : result.trace.hops) footprint->hops.insert(hop.router);
-  }
 
   // A flapping destination exercises every derivation in the oscillation
   // cycle, not just the representative final state.
   if (result.trace.destination_flapping) {
-    if (footprint != nullptr) footprint->global = true;
     for (const auto& prefix : sim.flapping) {
       if (prefix.contains(dst)) {
         sim.provenance.collectLinesForPrefix(prefix, lines);
@@ -36,13 +31,6 @@ std::set<cfg::LineId> coverageOf(const topo::Network& network,
           network, sim, result.trace.hops.back().router, subnet.prefix);
       const auto blamed = explanation.lines();
       lines.insert(blamed.begin(), blamed.end());
-      if (footprint != nullptr) {
-        footprint->state_reads.insert(explanation.consulted.begin(),
-                                      explanation.consulted.end());
-        footprint->walk_config_reads.insert(explanation.config_reads.begin(),
-                                            explanation.config_reads.end());
-        footprint->state_prefix = subnet.prefix;
-      }
       break;
     }
   }
@@ -50,7 +38,6 @@ std::set<cfg::LineId> coverageOf(const topo::Network& network,
   // Destination-side origination context.
   const auto owner = network.topology.subnetOwner(dst);
   if (owner) {
-    if (footprint != nullptr) footprint->config_reads.insert(*owner);
     const cfg::DeviceConfig* device = network.config(*owner);
     if (device != nullptr) {
       for (const auto& itf : device->interfaces) {
@@ -71,6 +58,19 @@ std::set<cfg::LineId> coverageOf(const topo::Network& network,
     }
   }
   return lines;
+}
+
+SuiteRun runSuite(const topo::Network& network, const route::SimResult& sim,
+                  const verify::Verifier& verifier,
+                  const std::vector<verify::TestCase>& tests) {
+  SuiteRun run;
+  run.results = verifier.runTests(network, sim, tests);
+  run.coverage.reserve(run.results.size());
+  for (const verify::TestResult& result : run.results) {
+    run.coverage.push_back(coverageOf(network, sim, result));
+    run.spectrum.addTest(run.coverage.back(), result.passed);
+  }
+  return run;
 }
 
 }  // namespace acr::sbfl

@@ -11,47 +11,34 @@
 #pragma once
 
 #include <set>
-#include <string>
+#include <vector>
 
 #include "config/ast.hpp"
+#include "localize/sbfl.hpp"
 #include "routing/simulator.hpp"
 #include "topo/network.hpp"
 #include "verify/verifier.hpp"
 
 namespace acr::sbfl {
 
-/// The read set of one probe's trace + coverage extraction, split by what
-/// kind of state each router contributed — the invalidation key of the
-/// incremental localizer. `hops` made FIB lookups for the packet's
-/// destination, so only a dirty (router, prefix) cell whose prefix contains
-/// that destination (or a config edit at the hop — PBR, ACLs) can change
-/// what they saw. `state_reads` (the explainAbsence walk) examined RIB
-/// presence and session state wholesale: any dirty cell or config edit
-/// there invalidates. `config_reads` (the destination's subnet owner) only
-/// contributed config lines: only a config edit invalidates. `global` marks
-/// a graph-wide read (flapping destinations) that no delta can preserve.
-struct ProbeFootprint {
-  std::set<std::string> hops;
-  std::set<std::string> state_reads;
-  std::set<std::string> config_reads;
-  /// The subset of `state_reads` whose configuration the absence walk
-  /// actually read (AbsenceExplanation::config_reads): only a config edit
-  /// *here* can change the walk. The other consulted routers contributed
-  /// RIB lookups for `state_prefix` only — the dirty-cell overlap check
-  /// covers them.
-  std::set<std::string> walk_config_reads;
-  /// The prefix the absence walk examined (valid when state_reads is
-  /// non-empty): the walk's RIB lookups are all for exactly this prefix,
-  /// so only dirty cells overlapping it can change what the walk saw.
-  net::Prefix state_prefix;
-  bool global = false;
-};
-
-/// When `footprint` is non-null it receives the extraction's read set; a
-/// cached test outcome and coverage row stay byte-identical as long as the
-/// footprint avoids every dirtied read (see ProbeFootprint).
 [[nodiscard]] std::set<cfg::LineId> coverageOf(
     const topo::Network& network, const route::SimResult& sim,
-    const verify::TestResult& result, ProbeFootprint* footprint = nullptr);
+    const verify::TestResult& result);
+
+/// One run of the localization suite: per-test verdicts, the lines each
+/// test covered, and the spectrum they add up to.
+struct SuiteRun {
+  std::vector<verify::TestResult> results;
+  /// Covered lines per test, parallel to `results`.
+  std::vector<std::set<cfg::LineId>> coverage;
+  Spectrum spectrum;
+};
+
+/// Runs `tests` through `verifier` on `sim`, an existing provenance-recording
+/// simulation of `network`, and extracts each test's coverage.
+[[nodiscard]] SuiteRun runSuite(const topo::Network& network,
+                                const route::SimResult& sim,
+                                const verify::Verifier& verifier,
+                                const std::vector<verify::TestCase>& tests);
 
 }  // namespace acr::sbfl

@@ -62,22 +62,6 @@ void Spectrum::addRow(const CoverageBits& row, bool passed) {
   });
 }
 
-void Spectrum::removeRow(const CoverageBits& row, bool passed) {
-  if (passed) {
-    --total_passed_;
-  } else {
-    --total_failed_;
-  }
-  std::vector<int>& dropped = passed ? passed_ : failed_;
-  row.forEachSet([&](int id) {
-    const auto idx = static_cast<std::size_t>(id);
-    if (--dropped[idx] == 0) {
-      const std::vector<int>& other = passed ? failed_ : passed_;
-      if (idx >= other.size() || other[idx] == 0) --covered_;
-    }
-  });
-}
-
 double Spectrum::scoreCounts(const Counts& counts, Metric metric,
                              const cfg::LineId& line,
                              std::uint64_t seed) const {
@@ -126,7 +110,7 @@ double Spectrum::scoreCounts(const Counts& counts, Metric metric,
 
 double Spectrum::score(const cfg::LineId& line, Metric metric,
                        std::uint64_t seed) const {
-  const int id = lines_->idOf(line);
+  const int id = lines_.idOf(line);
   if (id < 0) return 0.0;
   const Counts counts = countsOf(id);
   if (counts.failed + counts.passed == 0) return 0.0;
@@ -138,12 +122,12 @@ std::vector<LineScore> Spectrum::rank(Metric metric, std::uint64_t seed) const {
   span.attr("lines", static_cast<std::int64_t>(covered_));
   std::vector<LineScore> scores;
   scores.reserve(covered_);
-  const int ids = static_cast<int>(lines_->size());
+  const int ids = static_cast<int>(lines_.size());
   for (int id = 0; id < ids; ++id) {
     const Counts counts = countsOf(id);
     if (counts.failed + counts.passed == 0) continue;
     LineScore score;
-    score.line = lines_->lineOf(id);
+    score.line = lines_.lineOf(id);
     score.suspiciousness = scoreCounts(counts, metric, score.line, seed);
     score.failed_cover = counts.failed;
     score.passed_cover = counts.passed;

@@ -5,21 +5,16 @@
 // Equation 1). Tarantula is the paper's choice; Ochiai, Jaccard and DStar(2)
 // are the §6 alternatives, and Random is the ablation floor.
 //
-// Storage is dense: config lines are interned into a LineTable (shareable
-// across spectra) and coverage is a dynamic bitset over the interned ids, so
-// pass/fail tallies are flat int arrays instead of string-keyed maps. A
-// test's outcome can be added *and removed* as a row, which is what makes
-// the repair loop's incremental localization cheap: a candidate's spectrum
-// is the anchor's counts with only the flipped tests' rows swapped out.
-// Ranking materializes LineIds only at the sort boundary, so the ranked
-// output is byte-identical to the old map-based implementation regardless
-// of interning order. LineTable interning is not thread-safe — LOCALIZE is
-// sequential per candidate, mirroring the engine.
+// Storage is dense: config lines are interned into a LineTable and coverage
+// is a dynamic bitset over the interned ids, so pass/fail tallies are flat
+// int arrays instead of string-keyed maps. Ranking materializes LineIds only
+// at the sort boundary, so the ranked output is byte-identical to the old
+// map-based implementation regardless of interning order. A Spectrum is not
+// thread-safe — LOCALIZE is sequential per candidate, mirroring the engine.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -68,12 +63,6 @@ class CoverageBits {
     return word < words_.size() &&
            (words_[word] >> (static_cast<std::size_t>(id) & 63) & 1) != 0;
   }
-  [[nodiscard]] bool empty() const {
-    for (const std::uint64_t word : words_) {
-      if (word != 0) return false;
-    }
-    return true;
-  }
   /// Visits set ids in ascending order.
   template <class Fn>
   void forEachSet(Fn&& fn) const {
@@ -91,9 +80,8 @@ class CoverageBits {
   std::vector<std::uint64_t> words_;
 };
 
-/// Append-only interner of config LineIds. Shared (via shared_ptr) between
-/// an anchor spectrum and its per-candidate forks so their rows live in one
-/// id space; ids never leak into ranked output, which materializes LineIds.
+/// Append-only interner of config LineIds; ids never leak into ranked
+/// output, which materializes LineIds.
 class LineTable {
  public:
   int intern(const cfg::LineId& line) {
@@ -126,23 +114,10 @@ class LineTable {
 
 class Spectrum {
  public:
-  Spectrum() : lines_(std::make_shared<LineTable>()) {}
-  /// A spectrum whose rows are interned in a caller-owned table — forked
-  /// spectra share the anchor's table, so anchor rows apply verbatim.
-  explicit Spectrum(std::shared_ptr<LineTable> lines)
-      : lines_(std::move(lines)) {}
-
   /// Records one test's coverage and verdict.
   void addTest(const std::set<cfg::LineId>& covered, bool passed) {
-    addRow(lines_->internRow(covered), passed);
+    addRow(lines_.internRow(covered), passed);
   }
-
-  /// Dense twin of addTest over an already-interned row.
-  void addRow(const CoverageBits& row, bool passed);
-  /// Exact inverse of addRow — the incremental update: fork the anchor
-  /// spectrum, removeRow the flipped tests' anchor rows, addRow the fresh
-  /// ones.
-  void removeRow(const CoverageBits& row, bool passed);
 
   [[nodiscard]] int totalPassed() const { return total_passed_; }
   [[nodiscard]] int totalFailed() const { return total_failed_; }
@@ -162,10 +137,6 @@ class Spectrum {
 
   [[nodiscard]] std::size_t coveredLineCount() const { return covered_; }
 
-  [[nodiscard]] const std::shared_ptr<LineTable>& lines() const {
-    return lines_;
-  }
-
  private:
   struct Counts {
     int failed = 0;
@@ -179,8 +150,9 @@ class Spectrum {
   [[nodiscard]] double scoreCounts(const Counts& counts, Metric metric,
                                    const cfg::LineId& line,
                                    std::uint64_t seed) const;
+  void addRow(const CoverageBits& row, bool passed);
 
-  std::shared_ptr<LineTable> lines_;
+  LineTable lines_;
   std::vector<int> failed_;  // by interned line id
   std::vector<int> passed_;
   std::size_t covered_ = 0;  // ids with failed + passed > 0

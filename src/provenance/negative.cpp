@@ -76,18 +76,14 @@ AbsenceExplanation explainAbsence(const topo::Network& network,
     }
   }
 
-  if (!expected_origin.empty()) out.consulted.insert(expected_origin);
-
   const std::function<void(const std::string&)> explain =
       [&](const std::string& current) {
         if (!visited.insert(current).second) return;
-        out.consulted.insert(current);
         const cfg::DeviceConfig* device = network.config(current);
         if (device == nullptr) return;
 
         // Origination check at the expected origin.
         if (current == expected_origin) {
-          out.config_reads.insert(current);
           bool via_connected = false;
           bool via_static = false;
           std::vector<cfg::LineId> origin_lines;
@@ -154,15 +150,12 @@ AbsenceExplanation explainAbsence(const topo::Network& network,
           if (session.a != current && session.b != current) continue;
           const std::string neighbor =
               session.a == current ? session.b : session.a;
-          out.consulted.insert(neighbor);
           const net::Ipv4Address neighbor_address =
               session.a == current ? session.b_address : session.a_address;
           const net::Ipv4Address own_address =
               session.a == current ? session.a_address : session.b_address;
 
           if (!session.up) {
-            out.config_reads.insert(current);
-            out.config_reads.insert(neighbor);
             AbsenceReason reason;
             reason.kind = AbsenceReason::Kind::kSessionDown;
             reason.router = current;
@@ -193,11 +186,6 @@ AbsenceExplanation explainAbsence(const topo::Network& network,
             explain(neighbor);  // the obstacle is further upstream
             continue;
           }
-          // The supplier holds the route: from here the walk evaluates its
-          // redistribution gates and export policy, and this router's loop
-          // check and import policy — config reads on both sides.
-          out.config_reads.insert(current);
-          out.config_reads.insert(neighbor);
           if (supplier == nullptr || !supplier->bgp || !device->bgp) continue;
           const topo::RouterDecl* supplier_decl =
               network.topology.findRouter(neighbor);

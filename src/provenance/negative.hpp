@@ -53,21 +53,6 @@ struct AbsenceReason {
 
 struct AbsenceExplanation {
   std::vector<AbsenceReason> reasons;
-  /// Every router whose RIB or sessions the walk consulted — the
-  /// explanation's state read set. A cached explanation stays valid as long
-  /// as none of these routers' state for the walked prefix changed, which
-  /// is what lets the incremental localizer reuse blackhole coverage rows
-  /// across candidates.
-  std::set<std::string> consulted;
-  /// The subset of `consulted` whose *configuration* the walk actually
-  /// read: the expected origin (origination machinery), both endpoints of a
-  /// down session (peer statements), and supplier/receiver pairs where the
-  /// supplier held the route (redistribution gates, export and import
-  /// policies). A visited router whose sessions are all up and whose
-  /// neighbors all lack the route contributes no config read — the walk
-  /// only looked at its RIB and sessions — so a config edit there cannot
-  /// change this explanation. Every blamed line's device is in this set.
-  std::set<std::string> config_reads;
 
   [[nodiscard]] std::set<cfg::LineId> lines() const;
   [[nodiscard]] bool blames(AbsenceReason::Kind kind) const;

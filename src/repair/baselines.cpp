@@ -84,13 +84,12 @@ BaselineResult provenanceRepair(const topo::Network& faulty,
   const std::set<cfg::LineId> leaves = sbfl::coverageOf(faulty, sim, *failing);
   result.search_space = leaves.size();
 
-  const std::vector<sbfl::ResultRow> rows(before.begin(), before.end());
-  std::vector<sbfl::CoverageRow> coverage;
+  std::vector<std::set<cfg::LineId>> coverage;
   coverage.reserve(before.size());
   for (const auto& test_result : before) {
     coverage.push_back(sbfl::coverageOf(faulty, sim, test_result));
   }
-  const fix::RepairContext context{faulty, sim, intents, rows, coverage};
+  const fix::RepairContext context{faulty, sim, intents, before, coverage};
 
   // Modify the first traced source that admits a change — no validation.
   std::map<std::string, std::map<int, cfg::LineInfo>> cache;
@@ -151,13 +150,12 @@ BaselineResult synthesisRepair(const topo::Network& faulty,
     return finish();
   }
 
-  const std::vector<sbfl::ResultRow> rows(before.begin(), before.end());
-  std::vector<sbfl::CoverageRow> coverage;
+  std::vector<std::set<cfg::LineId>> coverage;
   coverage.reserve(before.size());
   for (const auto& test_result : before) {
     coverage.push_back(sbfl::coverageOf(faulty, sim, test_result));
   }
-  const fix::RepairContext context{faulty, sim, intents, rows, coverage};
+  const fix::RepairContext context{faulty, sim, intents, before, coverage};
 
   // Atomic actions: every template proposal over every configuration line.
   std::vector<fix::ProposedChange> actions;

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <random>
 
 #include "fixgen/change.hpp"
-#include "localize/incremental.hpp"
+#include "localize/coverage.hpp"
 #include "obs/record.hpp"
 #include "obs/trace.hpp"
+#include "routing/delta_tree.hpp"
 #include "symbolic/symbolic.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -169,11 +171,61 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
   std::vector<Candidate> population{
       Candidate{faulty, {}, {}, baseline_fitness}};
   int previous_fitness = baseline_fitness;
-  // Incremental LOCALIZE: one provenance-recording anchor simulation (plus
-  // one per degraded link set), every candidate delta-seeded off it with
-  // cached probe outcomes and coverage rows (localize/incremental.hpp).
-  sbfl::LocalizeCache localize_cache(faulty, intents_, tests,
-                                     localize_options, options_.multipath);
+  // LOCALIZE is one provenance-recording simulation per candidate plus the
+  // whole suite. The faulty network runs the full simulator once per
+  // topology: the plain one, and each degraded link set the tolerance check
+  // localizes on. Every other candidate is a one-leaf delta tree off that
+  // anchor.
+  const verify::Verifier localize_verifier(intents_, localize_options,
+                                           options_.multipath);
+  std::optional<route::SimResult> plain_anchor;
+  std::map<std::vector<std::size_t>,
+           std::pair<topo::Network, route::SimResult>>
+      degraded_anchors;
+  // Localizes `network` (configs differ from the faulty network's exactly on
+  // `changed`) on the topology without `links` — the plain one when empty.
+  // Returns how it simulated: "anchor", "delta" or the delta tree's fallback
+  // reason (an unconverged anchor falls back to a full run there).
+  const auto localize = [&](const topo::Network& network,
+                            const std::vector<std::string>& changed,
+                            std::vector<std::size_t> links,
+                            route::SimResult& sim,
+                            sbfl::SuiteRun& suite) -> std::string {
+    std::string sim_kind;
+    {
+      const util::ScopedTimer sim_timer(localize_sim_ms);
+      const topo::Network* anchor_network = &faulty;
+      const route::SimResult* anchor = nullptr;
+      if (links.empty()) {
+        if (!plain_anchor) {
+          plain_anchor = route::Simulator(faulty).run(localize_options);
+        }
+        anchor = &*plain_anchor;
+      } else {
+        std::sort(links.begin(), links.end());
+        auto [it, inserted] = degraded_anchors.try_emplace(std::move(links));
+        auto& [degraded, degraded_sim] = it->second;
+        if (inserted) {
+          degraded = verify::withoutLinks(faulty, it->first);
+          degraded_sim = route::Simulator(degraded).run(localize_options);
+        }
+        anchor_network = &degraded;
+        anchor = &degraded_sim;
+      }
+      if (changed.empty()) {
+        sim = *anchor;
+        sim_kind = "anchor";
+      } else {
+        route::TreeLeafStats stats;
+        sim = route::DeltaTree(*anchor_network, *anchor, localize_options)
+                  .run(network, changed, &stats);
+        sim_kind = stats.used_delta ? "delta" : stats.fallback_reason;
+      }
+    }
+    const util::ScopedTimer suite_timer(localize_suite_ms);
+    suite = sbfl::runSuite(network, sim, localize_verifier, tests);
+    return sim_kind;
+  };
 
   // Fitness (= number of failing tests) plus the verifier work it cost.
   struct Score {
@@ -246,45 +298,37 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
       std::optional<obs::Span> localize_span;
       localize_span.emplace("localize");
       localize_span->attr("iteration", static_cast<std::int64_t>(iteration));
-      const auto observe_stage = [&](const sbfl::LocalizeOutcome& outcome) {
-        localize_sim_ms.observe(outcome.sim_ms);
-        localize_suite_ms.observe(outcome.suite_ms);
-      };
       std::vector<std::string> changed_devices;
       for (const auto& diff : diffNetworks(faulty, candidate.network)) {
         changed_devices.push_back(diff.device);
       }
-      sbfl::LocalizeOutcome localized =
-          localize_cache.localize(candidate.network, changed_devices);
-      observe_stage(localized);
+      route::SimResult sim;
+      sbfl::SuiteRun suite;
+      std::string sim_kind =
+          localize(candidate.network, changed_devices, {}, sim, suite);
       // When the plain suite is green but a k-failure scenario violates,
       // the fault is latent: localize on the degraded topology where the
       // violation manifests (configs are identical, so line coordinates
-      // transfer directly). The cache keeps one anchor per violating link
-      // set, so iterating candidates delta-seed here too.
+      // transfer directly), delta-seeded off the faulty network with the
+      // same links removed.
       const topo::Network* context_network = &candidate.network;
       topo::Network degraded;
       const bool plain_failing =
-          std::any_of(localized.results.begin(), localized.results.end(),
+          std::any_of(suite.results.begin(), suite.results.end(),
                       [](const verify::TestResult& r) { return !r.passed; });
       if (!plain_failing && options_.tolerance_k > 0) {
         const verify::FailureToleranceReport report =
             toleranceReport(candidate.network);
         if (!report.violations.empty()) {
-          degraded = verify::withoutLinks(
-              candidate.network, report.violations.front().link_indices);
-          localized = localize_cache.localizeDegraded(
-              degraded, changed_devices,
-              report.violations.front().link_indices);
-          observe_stage(localized);
+          const std::vector<std::size_t>& links =
+              report.violations.front().link_indices;
+          degraded = verify::withoutLinks(candidate.network, links);
+          sim_kind = localize(degraded, changed_devices, links, sim, suite);
           context_network = &degraded;
         }
       }
-      const route::SimResult& sim = localized.sim;
-      const std::vector<sbfl::ResultRow>& test_results = localized.results;
-      const std::vector<sbfl::CoverageRow>& coverage = localized.coverage;
       const auto rank_started = std::chrono::steady_clock::now();
-      const std::vector<sbfl::LineScore> ranked = localized.spectrum.rank(
+      const std::vector<sbfl::LineScore> ranked = suite.spectrum.rank(
           options_.metric, options_.seed + static_cast<std::uint64_t>(iteration));
       localize_rank_ms.observe(std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() -
@@ -292,14 +336,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                                    .count());
       localize_span->attr("suspects",
                           static_cast<std::int64_t>(ranked.size()));
-      localize_span->attr("sim", localized.sim_kind);
-      localize_span->attr("probe_hits",
-                          static_cast<std::int64_t>(localized.probe_hits));
-      localize_span->attr("probe_misses",
-                          static_cast<std::int64_t>(localized.probe_misses));
-      localize_span->attr(
-          "derivations_reused",
-          static_cast<std::int64_t>(localized.derivations_reused));
+      localize_span->attr("sim", sim_kind);
       localize_span.reset();
       if (recorder != nullptr) {
         std::vector<obs::FlightRecorder::Suspect> suspects;
@@ -328,7 +365,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
 
       // ---- FIX ------------------------------------------------------------
       const fix::RepairContext context{*context_network, sim, intents_,
-                                       test_results, coverage};
+                                       suite.results, suite.coverage};
       // generate(exhaustive): instantiate templates on the top suspicious
       // lines. In search mode one randomly-drawn template per line; when
       // `exhaustive`, every applicable template (used by brute-force mode

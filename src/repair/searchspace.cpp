@@ -20,27 +20,19 @@ SearchSpaceReport measureSearchSpaces(const topo::Network& faulty,
   const verify::Verifier verifier(intents, sim_options);
   const std::vector<verify::TestCase> tests =
       verify::generateTests(intents, options.samples_per_intent);
-  const std::vector<verify::TestResult> results =
-      verifier.runTests(faulty, sim, tests);
-
-  std::vector<sbfl::CoverageRow> coverage;
-  sbfl::Spectrum spectrum;
-  const verify::TestResult* first_failing = nullptr;
-  for (const auto& result : results) {
-    coverage.push_back(sbfl::coverageOf(faulty, sim, result));
-    spectrum.addTest(coverage.back(), result.passed);
-    if (!result.passed && first_failing == nullptr) first_failing = &result;
-  }
-  if (first_failing != nullptr) {
-    report.metaprov_leaves =
-        sbfl::coverageOf(faulty, sim, *first_failing).size();
+  const sbfl::SuiteRun suite = sbfl::runSuite(faulty, sim, verifier, tests);
+  for (std::size_t i = 0; i < suite.results.size(); ++i) {
+    if (!suite.results[i].passed) {
+      report.metaprov_leaves = suite.coverage[i].size();
+      break;
+    }
   }
 
-  const std::vector<sbfl::ResultRow> rows(results.begin(), results.end());
-  const fix::RepairContext context{faulty, sim, intents, rows, coverage};
+  const fix::RepairContext context{faulty, sim, intents, suite.results,
+                                   suite.coverage};
   std::map<std::string, std::map<int, cfg::LineInfo>> cache;
   int lines_used = 0;
-  for (const auto& score : spectrum.rank(options.metric)) {
+  for (const auto& score : suite.spectrum.rank(options.metric)) {
     if (lines_used >= options.top_k_lines) break;
     if (score.failed_cover == 0) break;
     auto it = cache.find(score.line.device);

@@ -523,7 +523,6 @@ struct DeltaTree::Impl {
     }
     // Patch fresh ids only after every cell succeeded, each one through
     // the leaf undo log so it rolls back with the leaf.
-    std::vector<std::pair<int, PrefixId>> chain_dirty;
     for (const PrefixId pid : affected_pids) {
       for (std::size_t rid = 0; rid < router_count; ++rid) {
         const RouteEntry* entry = view.rib.entryAt(static_cast<int>(rid), pid);
@@ -531,7 +530,6 @@ struct DeltaTree::Impl {
         const prov::DerivationId id =
             rebuilder.idOf(static_cast<int>(rid), pid);
         if (id == entry->derivation) continue;
-        chain_dirty.emplace_back(static_cast<int>(rid), pid);
         recordTouch(leaf_level, static_cast<int>(rid), pid);
         RouteEntry patched = *entry;
         patched.derivation = id;
@@ -543,12 +541,6 @@ struct DeltaTree::Impl {
         view.rib.set(static_cast<int>(rid), pid, patched,
                      ecmp != nullptr ? &ecmp_copy : nullptr);
       }
-    }
-    std::sort(chain_dirty.begin(), chain_dirty.end());
-    stats.dirty_chain_cells.reserve(chain_dirty.size());
-    for (const auto& [rid, pid] : chain_dirty) {
-      stats.dirty_chain_cells.emplace_back(tables->routers.nameOf(rid),
-                                           tables->prefixes.prefixOf(pid));
     }
     stats.fresh_derivations = rebuilder.freshCount();
     std::size_t total_routes = 0;

@@ -97,12 +97,6 @@ struct TreeLeafStats {
   /// in router-id order. Derived from the undo logs, so it costs the blast
   /// radius, not a full RIB sweep. Only populated when `used_delta`.
   std::vector<std::pair<std::string, net::Prefix>> changed_vs_anchor;
-  /// Provenance runs only: every (router, prefix) cell whose derivation was
-  /// rebuilt (content differs from the anchor's, or the cell is new), in
-  /// router-id order. The suite cache (localize/incremental.hpp) invalidates a
-  /// cached probe only through a dirty cell a traversed hop could have
-  /// read — one whose prefix contains the probe's destination.
-  std::vector<std::pair<std::string, net::Prefix>> dirty_chain_cells;
   /// Canonicalization outcome (provenance runs only): derivations rebuilt
   /// along dirty chains vs. anchor derivations reused byte-for-byte.
   std::size_t fresh_derivations = 0;

@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "core/scenarios.hpp"
+#include "obs/trace.hpp"
+
 namespace acr::ops {
 namespace {
 
@@ -79,6 +82,33 @@ TEST(Ops, RepairOptionsJsonRoundTrips) {
   // Absent keys keep their defaults.
   expectSameRecordedOptions(
       repairOptionsFromJson(util::Json{util::Json::Object{}}), defaults);
+}
+
+TEST(Ops, VerifyScenarioSimulatesOnce) {
+  // The suite runs on the simulation the outcome reports, so one `verify`
+  // costs one full simulation, with the same verdicts as verifying from
+  // scratch.
+  const Scenario scenario = figure2Scenario(/*faulty=*/true);
+  obs::Tracer::global().clear();
+  obs::Tracer::global().setEnabled(true);
+  const VerifyOutcome outcome = verifyScenario(scenario);
+  obs::Tracer::global().setEnabled(false);
+  int full_sims = 0;
+  for (const auto& span : obs::Tracer::global().collect()) {
+    if (span.name == "sim.full") ++full_sims;
+  }
+  obs::Tracer::global().clear();
+  EXPECT_EQ(full_sims, 1);
+
+  const verify::VerifyResult expected =
+      verify::Verifier(scenario.intents).verify(scenario.network());
+  EXPECT_EQ(outcome.result.tests_run, expected.tests_run);
+  EXPECT_EQ(outcome.result.tests_failed, expected.tests_failed);
+  ASSERT_EQ(outcome.result.results.size(), expected.results.size());
+  for (std::size_t i = 0; i < expected.results.size(); ++i) {
+    EXPECT_EQ(outcome.result.results[i].passed, expected.results[i].passed);
+    EXPECT_EQ(outcome.result.results[i].reason, expected.results[i].reason);
+  }
 }
 
 }  // namespace

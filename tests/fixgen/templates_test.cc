@@ -16,8 +16,8 @@ struct Harness {
   acr::Scenario scenario;
   topo::Network network;
   route::SimResult sim;
-  std::vector<sbfl::ResultRow> results;
-  std::vector<sbfl::CoverageRow> coverage;
+  std::vector<verify::TestResult> results;
+  std::vector<std::set<cfg::LineId>> coverage;
 
   Harness(acr::Scenario s, topo::Network n)
       : scenario(std::move(s)), network(std::move(n)) {

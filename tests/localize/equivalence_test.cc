@@ -1,15 +1,13 @@
-// Incremental LOCALIZE equivalence contract.
+// LOCALIZE equivalence contract.
 //
-// The cached pipeline (delta-seeded simulation, reused probe outcomes and
-// coverage rows, swapped spectrum rows) must be indistinguishable from the
-// from-scratch pipeline: identical test verdicts, identical coverage sets,
-// byte-identical SBFL rankings under every metric, and content-identical
-// derivation chains on every RIB cell. Enforced across the fault campaign's
-// error catalog in both directions (healthy anchor → injected candidate and
-// faulty anchor → repaired candidate), plus whole-engine byte-identity at
-// different worker counts.
-#include "localize/incremental.hpp"
-
+// The engine's LOCALIZE (a one-leaf delta tree off the anchor's full
+// provenance run, then the whole suite on that simulation via runSuite) must
+// be indistinguishable from the from-scratch pipeline: identical test
+// verdicts, identical coverage sets, byte-identical SBFL rankings under
+// every metric, and content-identical derivation chains on every RIB cell.
+// Enforced across the fault campaign's error catalog in both directions
+// (healthy anchor → injected candidate and faulty anchor → repaired
+// candidate), plus whole-engine byte-identity at different worker counts.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -22,6 +20,7 @@
 #include "faultinject/faults.hpp"
 #include "localize/coverage.hpp"
 #include "repair/engine.hpp"
+#include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
 #include "verify/verifier.hpp"
 
@@ -63,6 +62,29 @@ FullLocalize fullLocalize(const topo::Network& network,
   return out;
 }
 
+/// The engine's LOCALIZE for a candidate that differs from `anchor_network`
+/// on `changed`: full provenance run of the anchor, one-leaf delta tree off
+/// it, whole suite on the delta-seeded simulation.
+struct EngineLocalize {
+  route::SimResult sim;
+  SuiteRun suite;
+};
+
+EngineLocalize engineLocalize(const topo::Network& anchor_network,
+                              const topo::Network& network,
+                              const std::vector<std::string>& changed,
+                              const std::vector<verify::Intent>& intents,
+                              const std::vector<verify::TestCase>& tests) {
+  const route::SimResult anchor =
+      route::Simulator(anchor_network).run(localizeOptions());
+  EngineLocalize out;
+  out.sim = route::DeltaTree(anchor_network, anchor, localizeOptions())
+                .run(network, changed);
+  const verify::Verifier verifier(intents, localizeOptions());
+  out.suite = runSuite(network, out.sim, verifier, tests);
+  return out;
+}
+
 std::string chainOf(const prov::ProvenanceGraph& graph,
                     prov::DerivationId id) {
   std::string out;
@@ -77,26 +99,27 @@ std::string chainOf(const prov::ProvenanceGraph& graph,
 }
 
 void expectEquivalent(const FullLocalize& full,
-                      const LocalizeOutcome& incremental) {
+                      const EngineLocalize& engine) {
+  const SuiteRun& suite = engine.suite;
   // Verdicts and traces.
-  ASSERT_EQ(incremental.results.size(), full.results.size());
+  ASSERT_EQ(suite.results.size(), full.results.size());
   for (std::size_t i = 0; i < full.results.size(); ++i) {
-    EXPECT_EQ(incremental.results[i]->passed, full.results[i].passed) << i;
-    EXPECT_EQ(incremental.results[i]->reason, full.results[i].reason) << i;
-    EXPECT_EQ(incremental.results[i]->trace.outcome,
+    EXPECT_EQ(suite.results[i].passed, full.results[i].passed) << i;
+    EXPECT_EQ(suite.results[i].reason, full.results[i].reason) << i;
+    EXPECT_EQ(suite.results[i].trace.outcome,
               full.results[i].trace.outcome)
         << i;
   }
   // Coverage rows.
-  ASSERT_EQ(incremental.coverage.size(), full.coverage.size());
+  ASSERT_EQ(suite.coverage.size(), full.coverage.size());
   for (std::size_t i = 0; i < full.coverage.size(); ++i) {
-    EXPECT_EQ(*incremental.coverage[i], full.coverage[i]) << "test " << i;
+    EXPECT_EQ(suite.coverage[i], full.coverage[i]) << "test " << i;
   }
   // Rankings under every metric (and the paper's Tarantula twice with a
   // different tie-break seed to cover the Random ablation path too).
   for (const Metric metric : allMetrics()) {
     const std::vector<LineScore> expected = full.spectrum.rank(metric);
-    const std::vector<LineScore> actual = incremental.spectrum.rank(metric);
+    const std::vector<LineScore> actual = suite.spectrum.rank(metric);
     ASSERT_EQ(actual.size(), expected.size()) << metricName(metric);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].line, expected[i].line)
@@ -115,12 +138,12 @@ void expectEquivalent(const FullLocalize& full,
     const std::map<net::Prefix, route::Route> expected =
         full.sim.rib.routesOf(router);
     const std::map<net::Prefix, route::Route> actual =
-        incremental.sim.rib.routesOf(router);
+        engine.sim.rib.routesOf(router);
     ASSERT_EQ(actual.size(), expected.size()) << router;
     for (const auto& [prefix, route] : expected) {
       const auto it = actual.find(prefix);
       ASSERT_NE(it, actual.end()) << router << " " << prefix.str();
-      EXPECT_EQ(chainOf(incremental.sim.provenance, it->second.derivation),
+      EXPECT_EQ(chainOf(engine.sim.provenance, it->second.derivation),
                 chainOf(full.sim.provenance, route.derivation))
           << router << " " << prefix.str();
     }
@@ -143,14 +166,11 @@ TEST_P(LocalizeEquivalence, InjectedFaultMatchesFullPipeline) {
 
   const std::vector<verify::TestCase> tests =
       verify::generateTests(scenario.intents, 1);
-  LocalizeCache cache(scenario.network(), scenario.intents, tests,
-                      localizeOptions(), false);
-  // Prime the anchor at the origin, then localize the injected candidate.
-  (void)cache.localize(scenario.network(), {});
-  const LocalizeOutcome incremental = cache.localize(
-      incident->network, devicesOf(incident->injected_diff));
   expectEquivalent(
-      fullLocalize(incident->network, scenario.intents, tests), incremental);
+      fullLocalize(incident->network, scenario.intents, tests),
+      engineLocalize(scenario.network(), incident->network,
+                     devicesOf(incident->injected_diff), scenario.intents,
+                     tests));
 }
 
 TEST_P(LocalizeEquivalence, RepairedFaultMatchesFullPipeline) {
@@ -164,13 +184,11 @@ TEST_P(LocalizeEquivalence, RepairedFaultMatchesFullPipeline) {
 
   const std::vector<verify::TestCase> tests =
       verify::generateTests(scenario.intents, 1);
-  LocalizeCache cache(incident->network, scenario.intents, tests,
-                      localizeOptions(), false);
-  (void)cache.localize(incident->network, {});
-  const LocalizeOutcome incremental = cache.localize(
-      scenario.network(), devicesOf(incident->injected_diff));
   expectEquivalent(
-      fullLocalize(scenario.network(), scenario.intents, tests), incremental);
+      fullLocalize(scenario.network(), scenario.intents, tests),
+      engineLocalize(incident->network, scenario.network(),
+                     devicesOf(incident->injected_diff), scenario.intents,
+                     tests));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,8 +17,8 @@ net::Prefix P(const char* text) { return *net::Prefix::parse(text); }
 struct Figure2Harness {
   acr::Scenario scenario = acr::figure2Scenario(true);
   route::SimResult sim;
-  std::vector<sbfl::ResultRow> results;
-  std::vector<sbfl::CoverageRow> coverage;
+  std::vector<verify::TestResult> results;
+  std::vector<std::set<cfg::LineId>> coverage;
   sbfl::Spectrum spectrum;
 
   Figure2Harness() {

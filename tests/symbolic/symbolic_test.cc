@@ -39,8 +39,8 @@ verify::Intent intentOf(verify::IntentKind kind, const char* src,
 /// inputs the way the engine's LOCALIZE stage does.
 struct Localized {
   route::SimResult sim;
-  std::vector<sbfl::ResultRow> results;
-  std::vector<sbfl::CoverageRow> coverage;
+  std::vector<verify::TestResult> results;
+  std::vector<std::set<cfg::LineId>> coverage;
   sbfl::Spectrum spectrum;
 
   Localized(const topo::Network& network,

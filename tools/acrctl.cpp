@@ -331,13 +331,10 @@ int cmdTriage(const Args& args) {
   const route::SimResult sim =
       route::Simulator(scenario.network()).run(options);
   const verify::Verifier verifier(scenario.intents, options);
-  const auto results = verifier.runTests(
-      scenario.network(), sim, verify::generateTests(scenario.intents, 1));
-  sbfl::Spectrum spectrum;
-  for (const auto& result : results) {
-    spectrum.addTest(sbfl::coverageOf(scenario.network(), sim, result),
-                     result.passed);
-  }
+  const sbfl::Spectrum spectrum =
+      sbfl::runSuite(scenario.network(), sim, verifier,
+                     verify::generateTests(scenario.intents, 1))
+          .spectrum;
   if (spectrum.totalFailed() == 0) {
     std::puts("no failing tests; nothing to triage");
     return 0;
