@@ -13,7 +13,11 @@ Checks:
     weight, and the gates table is where its meaning lives;
   * every committed BENCH_<name>.json pairs with a declared bench_<name>
     binary in bench/CMakeLists.txt — an artifact whose generator is gone
-    can never be regenerated and silently goes stale.
+    can never be regenerated and silently goes stale;
+  * every `RepairOptions::<field>` named in docs/*.md, README.md, DESIGN.md
+    or EXPERIMENTS.md is declared in src/repair/engine.hpp — a deleted knob
+    must not live on in the documentation. CHANGES.md and ROADMAP.md are
+    history and plans, so they may name removed fields.
 
 External links (http/https/mailto) and pure in-page anchors are skipped.
 Exits 0 when everything resolves, 1 otherwise. Stdlib only: CI containers
@@ -28,6 +32,10 @@ import sys
 # target check is identical either way) and stops at the first ')'.
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_DECL = re.compile(r"^\s*(?:acr_add_bench|add_executable)\((bench_\w+)")
+OPTION_REF = re.compile(r"RepairOptions::(\w+)")
+# A data member of the struct: `type name = default;` or `type name;`.
+OPTION_DECL = re.compile(r"^\s+[\w:<>,*& ]+?[\s*&](\w+)\s*(?:=[^;]*)?;")
+OPTION_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def markdown_files(root):
@@ -109,16 +117,52 @@ def check_artifact_pairing(root):
     return errors
 
 
+def declared_repair_options(root):
+    with open(os.path.join(root, "src", "repair", "engine.hpp"), "r",
+              encoding="utf-8") as handle:
+        text = handle.read()
+    body = text[text.index("struct RepairOptions {"):]
+    body = body[:body.index("\n};")]
+    fields = set()
+    for line in body.split("\n")[1:]:
+        if line.strip().startswith("//"):
+            continue
+        match = OPTION_DECL.match(line)
+        if match is not None:
+            fields.add(match.group(1))
+    return fields
+
+
+def check_repair_options(root):
+    errors = []
+    declared = declared_repair_options(root)
+    files = [name for name in OPTION_DOCS
+             if os.path.exists(os.path.join(root, name))]
+    files += [path for path in markdown_files(root)
+              if path.startswith("docs" + os.sep)]
+    for relpath in files:
+        with open(os.path.join(root, relpath), "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+        for lineno, line in enumerate(lines, start=1):
+            for match in OPTION_REF.finditer(line):
+                if match.group(1) not in declared:
+                    errors.append("%s:%d: RepairOptions::%s is not declared in "
+                                  "src/repair/engine.hpp"
+                                  % (relpath, lineno, match.group(1)))
+    return errors
+
+
 def main(argv):
     root = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     errors = (check_links(root) + check_bench_coverage(root)
-              + check_artifact_coverage(root) + check_artifact_pairing(root))
+              + check_artifact_coverage(root) + check_artifact_pairing(root)
+              + check_repair_options(root))
     for error in errors:
         sys.stderr.write("check_docs: %s\n" % error)
     if not errors:
         print("check_docs: OK (%d markdown files, links + bench + "
-              "artifact coverage + artifact pairing)"
+              "artifact coverage + artifact pairing + RepairOptions fields)"
               % len(markdown_files(root)))
     return 1 if errors else 0
 

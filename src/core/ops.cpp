@@ -78,7 +78,6 @@ util::Json repairOptionsJson(const repair::RepairOptions& options) {
   json.set("batch_validate", util::Json(options.batch_validate));
   json.set("brute_force", util::Json(options.brute_force));
   json.set("use_crossover", util::Json(options.use_crossover));
-  json.set("multipath", util::Json(options.multipath));
   json.set("tolerance_k", util::Json(options.tolerance_k));
   json.set("symbolic", util::Json(options.symbolic));
   // Fixed-precision string (like recorded scores) so the rendering can
@@ -90,9 +89,6 @@ util::Json repairOptionsJson(const repair::RepairOptions& options) {
   json.set("symbolic_max_variables",
            util::Json(options.symbolic_max_variables));
   json.set("symbolic_fork_budget", util::Json(options.symbolic_fork_budget));
-  // validate_jobs is deliberately absent: it is a wall-clock knob with no
-  // effect on results or recording events, and including it would break the
-  // "recordings are byte-identical at any --jobs value" contract.
   return json;
 }
 
@@ -124,7 +120,6 @@ repair::RepairOptions repairOptionsFromJson(const util::Json& json) {
   options.batch_validate = boolField("batch_validate", options.batch_validate);
   options.brute_force = boolField("brute_force", options.brute_force);
   options.use_crossover = boolField("use_crossover", options.use_crossover);
-  options.multipath = boolField("multipath", options.multipath);
   options.tolerance_k = intField("tolerance_k", options.tolerance_k);
   options.symbolic = boolField("symbolic", options.symbolic);
   if (const util::Json* suspicion = json.find("symbolic_suspicion")) {

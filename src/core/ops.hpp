@@ -53,10 +53,8 @@ struct RepairOutcome {
 /// The byte-affecting repair knobs as JSON — what a flight recording's
 /// `begin` event embeds so `acrctl explain --replay` can reconstruct the
 /// exact run. Round-trips with repairOptionsFromJson: FromJson(Json(o))
-/// renders back to the same bytes. Deliberately excludes the knobs a replay
-/// must not inherit: time_budget_ms and validate_jobs (wall-clock knobs —
-/// leaving the latter out is what keeps recordings byte-identical at any
-/// --jobs value) and cancel/recorder/baseline_sim/history (pointers).
+/// renders back to the same bytes. Deliberately excludes the pointer fields
+/// a replay must not inherit: cancel, recorder, baseline_sim and history.
 [[nodiscard]] util::Json repairOptionsJson(const repair::RepairOptions& options);
 
 /// Inverse of repairOptionsJson; fields absent from `json` keep their

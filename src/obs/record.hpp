@@ -5,9 +5,9 @@
 //
 // Determinism contract: recordings contain no wall-clock timestamps and are
 // rendered with sorted object keys (util::Json), so two repairs of the same
-// scenario with the same options produce byte-identical files at any worker
-// count. The engine upholds its side by emitting verdict events only from
-// the ordered validation scan, never from fan-out workers.
+// scenario with the same options produce byte-identical files. The engine
+// upholds its side by emitting verdict events from its one ordered
+// validation scan.
 //
 // record() is virtual so tests can hook event emission (e.g. raise a cancel
 // flag after the first verdict to exercise mid-validate cancellation).

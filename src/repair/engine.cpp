@@ -14,7 +14,6 @@
 #include "routing/delta_tree.hpp"
 #include "symbolic/symbolic.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/failures.hpp"
 
 namespace acr::repair {
@@ -29,8 +28,6 @@ std::string terminationName(Termination termination) {
       return "candidates-exhausted";
     case Termination::kIterationLimit:
       return "iteration-limit";
-    case Termination::kTimeBudget:
-      return "time-budget-exceeded";
     case Termination::kCancelled:
       return "cancelled";
   }
@@ -76,9 +73,6 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
 
   obs::FlightRecorder* const recorder = options_.recorder;
   // Deep call sites (smt::Solver) record through this thread-local binding.
-  // VALIDATE fan-out workers never inherit it — verdicts are emitted only
-  // from the ordered scan below, which is what keeps recordings
-  // byte-identical at any validate_jobs value.
   const obs::RecorderScope recorder_scope(recorder);
   obs::Span repair_span("repair");
   repair_span.attr("seed", static_cast<std::int64_t>(options_.seed));
@@ -99,7 +93,6 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
   validate_options.record_provenance = false;  // validation never needs it
   route::SimOptions localize_options;
   localize_options.record_provenance = true;
-  localize_options.enable_ecmp = options_.multipath;
 
   // k-failure tolerance report / violation count (empty/0 when disabled).
   const auto toleranceReport =
@@ -121,16 +114,12 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
   };
 
   verify::IncrementalVerifier main_verifier(intents_, validate_options,
-                                            options_.samples_per_intent,
-                                            options_.multipath);
+                                            options_.samples_per_intent);
   const std::vector<verify::TestCase>& tests = main_verifier.tests();
   // A caller-provided pre-converged simulation (the acrd snapshot cache's
-  // primed baseline) replaces the one full anchor simulation. Only without
-  // multipath: the seed is recorded without equal-cost sets.
-  const route::SimResult* baseline_seed =
-      options_.multipath ? nullptr : options_.baseline_sim;
+  // primed baseline) replaces the one full anchor simulation.
   const verify::VerifyResult baseline =
-      main_verifier.baseline(faulty, baseline_seed);
+      main_verifier.baseline(faulty, options_.baseline_sim);
   const int baseline_fitness =
       baseline.tests_failed + toleranceFailures(faulty);
   result.initial_failed = baseline_fitness;
@@ -176,8 +165,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
   // topology: the plain one, and each degraded link set the tolerance check
   // localizes on. Every other candidate is a one-leaf delta tree off that
   // anchor.
-  const verify::Verifier localize_verifier(intents_, localize_options,
-                                           options_.multipath);
+  const verify::Verifier localize_verifier(intents_, localize_options);
   std::optional<route::SimResult> plain_anchor;
   std::map<std::vector<std::size_t>,
            std::pair<topo::Network, route::SimResult>>
@@ -233,18 +221,15 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     std::uint64_t tests_reverified = 0;
     std::uint64_t tests_skipped = 0;
     /// How the probe simulated: "delta-tree", a fallback-rule reason, or
-    /// "full-verify" (use_incremental off). A pure function of the anchor
-    /// state, so identical whether computed sequentially or by a fan-out
-    /// worker.
+    /// "full-verify" (use_incremental off).
     std::string sim;
     /// Delta-tree node path, empty for the full-verify oracle.
     std::string node;
   };
-  // The one candidate-scoring path, shared by VALIDATE (sequential and fan-
-  // out) and crossover: a probe of a CandidateBatch over the anchor
-  // verifier. A probe never touches the verifier, so every evaluation is an
-  // independent pure function of (anchor, base, candidate) — safe on fan-out
-  // workers, each growing its own batch.
+  // The one candidate-scoring path, shared by VALIDATE and crossover: a
+  // probe of a CandidateBatch over the anchor verifier. A probe never
+  // touches the verifier, so every evaluation is a pure function of
+  // (anchor, base, candidate).
   const auto evaluate = [&](const topo::Network& updated,
                             verify::CandidateBatch& batch) -> Score {
     const verify::CandidateBatch::Probe probe = batch.probe(updated);
@@ -269,7 +254,6 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     return options_.batch_validate ? candidate
                                    : *main_verifier.cachedNetwork();
   };
-  const int validate_jobs = util::resolveJobs(options_.validate_jobs);
   // Raised by the validation scan / crossover loop when the cancel flag
   // trips between candidates — a running VALIDATE round stops at the next
   // candidate boundary instead of finishing the iteration.
@@ -279,14 +263,6 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
       return finish(Termination::kCancelled, false);
-    }
-    if (options_.time_budget_ms > 0.0) {
-      const double elapsed = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count();
-      if (elapsed > options_.time_budget_ms) {
-        return finish(Termination::kTimeBudget, false);
-      }
     }
     result.iterations = iteration;
     IterationStats stats;
@@ -441,8 +417,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
       // Selective symbolic pass: solve suspect-device fields jointly and
       // prepend each satisfying model as a multi-device candidate, so the
       // round's batch VALIDATE scores compound fixes alongside (and before)
-      // the concrete template proposals. Runs on the engine thread —
-      // recordings stay byte-identical at any validate_jobs.
+      // the concrete template proposals.
       std::vector<fix::ProposedChange> proposals;
       if (options_.symbolic) {
         symb::SymbolicOptions sym_options;
@@ -477,85 +452,46 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
                                static_cast<std::int64_t>(iteration));
             validate_span.attr(
                 "proposals", static_cast<std::int64_t>(proposals.size()));
-            // Materialize every applying proposal first (cheap value edits,
-            // calling thread), preserving proposal order.
-            std::vector<const fix::ProposedChange*> applied;
-            std::vector<topo::Network> updated;
-            applied.reserve(proposals.size());
-            updated.reserve(proposals.size());
-            for (const auto& proposal : proposals) {
-              topo::Network network = candidate.network;
-              if (!proposal.apply(network)) continue;
-              applied.push_back(&proposal);
-              updated.push_back(std::move(network));
-            }
-            const int n = static_cast<int>(applied.size());
-
-            // Every applied proposal is a leaf of a candidate batch over
-            // `base`. Fan-out only splits the leaves into chunks, one batch
-            // per chunk, scored speculatively on `validate_jobs` workers;
-            // the scan below consumes scores in proposal order exactly like
-            // the sequential path, so evaluations past the round's winner
-            // are discarded wall-clock, never a behavior change — results
-            // (including every counter) are byte-identical at any
-            // `validate_jobs`.
+            // Every applying proposal is a leaf of one candidate batch over
+            // `base`, built lazily and scored in proposal order, so the
+            // scan's early exits (repair found, cancellation) skip the base
+            // propagation and every candidate past the winner.
             const topo::Network& base = baseFor(candidate.network);
-            std::vector<Score> scores;
-            const bool fan_out = validate_jobs > 1 && n > 1;
-            if (fan_out) {
-              scores.resize(static_cast<std::size_t>(n));
-              const int chunks = std::min(validate_jobs, n);
-              util::parallelFor(validate_jobs, chunks, [&](int chunk) {
-                // Nested under validate.round via the context the pool
-                // captured at submit — even though this runs on a worker.
-                obs::Span worker_span("validate.worker");
-                worker_span.attr("chunk", static_cast<std::int64_t>(chunk));
-                verify::CandidateBatch batch(main_verifier, base,
-                                             options_.use_incremental);
-                for (int i = chunk; i < n; i += chunks) {
-                  scores[static_cast<std::size_t>(i)] =
-                      evaluate(updated[static_cast<std::size_t>(i)], batch);
-                }
-              });
-            }
-            // Sequential: one chunk, scored lazily in the scan so its early
-            // exits (repair found, cancellation) skip the base propagation
-            // and every candidate past the winner.
             std::optional<verify::CandidateBatch> batch;
-
-            for (int i = 0; i < n && !repaired; ++i) {
+            int applied = 0;  // verdict index: counts applying proposals only
+            for (const fix::ProposedChange& proposal : proposals) {
+              if (repaired) break;
+              topo::Network updated = candidate.network;
+              if (!proposal.apply(updated)) continue;
+              const int index = applied++;
               // Cooperative cancellation between candidates: a remote
               // cancel lands mid-round instead of waiting out the
-              // iteration. Scores already computed by the fan-out are
-              // simply dropped — nothing observable depends on them.
+              // iteration.
               if (options_.cancel != nullptr &&
                   options_.cancel->load(std::memory_order_relaxed)) {
                 cancelled = true;
                 return;
               }
-              const fix::ProposedChange& proposal = *applied[i];
               ++stats.candidates_generated;
               if (options_.history != nullptr) {
                 options_.history->recordAttempt(proposal.template_name);
               }
-              if (!fan_out && !batch) {
+              if (!batch) {
                 batch.emplace(main_verifier, base, options_.use_incremental);
               }
-              const Score score =
-                  fan_out ? scores[static_cast<std::size_t>(i)]
-                          : evaluate(updated[static_cast<std::size_t>(i)],
-                                     *batch);
+              const Score score = evaluate(updated, *batch);
               account(score);
               const int fitness = score.fitness;
               // The paper's fitness rule: discard updates whose fitness
               // exceeds the previous iteration's.
               const bool discarded = fitness > previous_fitness;
               if (recorder != nullptr) {
-                recorder->verdict(
-                    iteration, i, proposal.template_name, proposal.description,
-                    fitness, !discarded, score.sim,
-                    static_cast<int>(score.tests_reverified),
-                    static_cast<int>(score.tests_skipped), score.node);
+                recorder->verdict(iteration, index, proposal.template_name,
+                                  proposal.description, fitness, !discarded,
+                                  score.sim,
+                                  static_cast<int>(score.tests_reverified),
+                                  static_cast<int>(score.tests_skipped),
+                                  score.node);
               }
               if (discarded) {
                 metrics.counter("repair.candidates_discarded").add(1);
@@ -563,7 +499,7 @@ RepairResult AcrEngine::repair(const topo::Network& faulty) const {
               }
 
               Candidate next;
-              next.network = std::move(updated[static_cast<std::size_t>(i)]);
+              next.network = std::move(updated);
               next.changes = candidate.changes;
               next.changes.push_back('[' + proposal.template_name + "] " +
                                      proposal.description);

@@ -54,9 +54,6 @@ struct RepairOptions {
   /// towards patterns that resolved past incidents. Null disables. The
   /// engine records attempts/successes into it.
   std::shared_ptr<fix::RepairHistory> history;
-  /// Judge every intent on all ECMP branches (the worst branch decides),
-  /// so faults hidden behind equal-cost path diversity are caught too.
-  bool multipath = false;
   /// When > 0, candidate fitness additionally counts intent violations under
   /// every k-link-failure scenario — repairs must not leave *latent* faults
   /// that only surface when redundancy is consumed (§1's k-failure
@@ -78,23 +75,12 @@ struct RepairOptions {
   /// Cap on path-condition forks (solver queries) per round; overflow
   /// falls back to the concrete template loop.
   int symbolic_fork_budget = 8;
-  /// Wall-clock budget; 0 = unlimited. When exceeded the loop stops at the
-  /// next iteration boundary with kTimeBudget (the best candidate so far is
-  /// still returned in `repaired`).
-  double time_budget_ms = 0.0;
   /// Cooperative cancellation: when non-null and the pointee becomes true,
   /// the loop stops at the next iteration boundary with kCancelled (the
   /// best candidate so far is still returned in `repaired`). The service's
   /// job scheduler points this at the job's cancel flag so a remote
   /// `cancel` reaches into a running repair.
   const std::atomic<bool>* cancel = nullptr;
-  /// VALIDATE fan-out: candidate updates of one round are scored on this
-  /// many workers (each chunk owns its own verifier clone). 0 = hardware
-  /// concurrency. The result is byte-identical at any setting: scores are
-  /// consumed in proposal order, and evaluations past the round's winner
-  /// are speculative work that is simply discarded. Defaults to 1 because
-  /// the campaign runner already parallelizes at incident granularity.
-  int validate_jobs = 1;
   /// Cross-candidate batch evaluation (docs/architecture.md §12): VALIDATE
   /// scores each round's candidates as leaves of a delta tree whose base is
   /// the population candidate they fork from, so their common edit prefix
@@ -107,14 +93,12 @@ struct RepairOptions {
   /// Optional pre-converged simulation of the faulty network (e.g. the acrd
   /// snapshot cache's primed baseline): adopted as the incremental
   /// verifier's anchor, skipping the one full baseline simulation. Non-
-  /// owning; must outlive repair(). Ignored under multipath (the seed is
-  /// recorded without equal-cost sets).
+  /// owning; must outlive repair().
   const route::SimResult* baseline_sim = nullptr;
   /// Optional flight recorder (docs/observability.md): the engine logs its
   /// full decision tree — suspect rankings, template instantiations, SMT
   /// queries, every verdict — as deterministic JSONL. Non-owning; must
-  /// outlive repair(). The recording is byte-identical at any validate_jobs
-  /// value (verdicts are emitted only from the ordered scan).
+  /// outlive repair().
   obs::FlightRecorder* recorder = nullptr;
 };
 
@@ -123,7 +107,6 @@ enum class Termination : std::uint8_t {
   kNothingToRepair, // the input network already satisfied every intent
   kExhausted,       // S = ∅: no candidate updates survived
   kIterationLimit,  // more than max_iterations iterations
-  kTimeBudget,      // RepairOptions::time_budget_ms exceeded
   kCancelled,       // RepairOptions::cancel was raised mid-run
 };
 

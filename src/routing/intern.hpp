@@ -25,7 +25,8 @@
 // only. Seeding derives that sequence from the network alone (sorted
 // universe, config-map order), and each engine run owns its tables (or a
 // clone of its baseline's — clones preserve ids exactly), so ids and every
-// downstream verdict are byte-identical at any `--jobs`/`validate_jobs`.
+// downstream verdict are byte-identical however many campaign or acrd
+// workers run engines concurrently.
 //
 // All tables are append-only; ids are never invalidated. Interning past
 // kMaxIds throws std::length_error with a clear message — the id width is

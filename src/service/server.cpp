@@ -225,9 +225,6 @@ RepairService::SubmitOutcome RepairService::submitOne(const Json& request) {
   if (const Json* field = request.find("seed")) {
     repair_options.seed = field->asUint(1);
   }
-  if (const Json* field = request.find("jobs")) {
-    repair_options.validate_jobs = static_cast<int>(field->asInt(1));
-  }
   if (const Json* field = request.find("metric")) {
     const std::optional<sbfl::Metric> metric =
         sbfl::metricByName(field->asString());
@@ -345,8 +342,8 @@ std::optional<Json> RepairService::mergeBatchItem(const Json& request,
   Json merged;
   merged.set("op", "submit");
   for (const char* key :
-       {"dir", "command", "seed", "metric", "jobs", "priority", "report",
-        "trace", "parent"}) {
+       {"dir", "command", "seed", "metric", "priority", "report", "trace",
+        "parent"}) {
     if (const Json* field = request.find(key)) merged.set(key, *field);
   }
   for (const auto& [key, value] : item.asObject()) {

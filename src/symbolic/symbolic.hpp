@@ -26,8 +26,8 @@
 //      fix::buildSymbolicModelChange, scored like every other candidate
 //      (a verify::CandidateBatch probe).
 //
-// Everything here runs on the engine thread before VALIDATE fan-out, so
-// recordings and proposals are byte-identical at any --jobs.
+// Everything here runs on the engine thread before VALIDATE scores the
+// round, so recordings and proposals are deterministic.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Lightweight metrics: named atomic counters and wall-clock histograms.
 //
 // Instrumentation for the localize–fix–validate pipeline. Counters are
-// relaxed atomics (concurrent increments from campaign workers and the
-// VALIDATE fan-out just sum); histograms take a short mutex per observe.
+// relaxed atomics (concurrent increments from campaign and acrd workers
+// just sum); histograms take a short mutex per observe.
 // Metrics are an observational side channel only — nothing in the repair
 // path reads them back, so they cannot perturb the determinism contract.
 //

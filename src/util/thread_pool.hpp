@@ -1,9 +1,9 @@
 // Fixed-size thread pool with a shared FIFO queue.
 //
-// The campaign runner and the engine's VALIDATE fan-out both follow the same
-// discipline: the *scheduling* is free-form (workers pull tasks in any
-// order) but every task writes only to its own pre-allocated slot, so the
-// assembled result is independent of interleaving. Exceptions thrown inside
+// The campaign runner follows one discipline: the *scheduling* is free-form
+// (workers pull tasks in any order) but every task writes only to its own
+// pre-allocated slot, so the assembled result is independent of
+// interleaving. Exceptions thrown inside
 // a task are captured in the task's future and rethrown at the join point
 // (`parallelFor` rethrows the first one by index order, again for
 // determinism).

@@ -9,14 +9,10 @@ namespace acr::verify {
 
 IncrementalVerifier::IncrementalVerifier(std::vector<Intent> intents,
                                          route::SimOptions sim_options,
-                                         int samples_per_intent,
-                                         bool multipath)
+                                         int samples_per_intent)
     : intents_(std::move(intents)),
       tests_(generateTests(intents_, samples_per_intent)),
-      sim_options_(sim_options),
-      multipath_(multipath) {
-  if (multipath_) sim_options_.enable_ecmp = true;
-}
+      sim_options_(sim_options) {}
 
 VerifyResult IncrementalVerifier::toVerifyResult() const {
   VerifyResult out;
@@ -31,7 +27,7 @@ VerifyResult IncrementalVerifier::toVerifyResult() const {
 VerifyResult IncrementalVerifier::baseline(const topo::Network& network,
                                            const route::SimResult* seed_sim) {
   obs::Span span("verify.baseline");
-  const Verifier verifier(intents_, sim_options_, multipath_);
+  const Verifier verifier(intents_, sim_options_);
   route::SimResult sim;
   // A seed is only adopted when it plausibly belongs to this network (one
   // RIB per configured device); anything else re-simulates. Derivation ids
@@ -121,7 +117,6 @@ void IncrementalVerifier::rejudge(
     return changed_trie.longestMatch(address) != nullptr;
   };
 
-  const Verifier verifier(intents_, sim_options_, multipath_);
   const dp::DataPlane dataplane(network, sim);
 
   for (std::size_t i = 0; i < tests_.size(); ++i) {
@@ -132,17 +127,10 @@ void IncrementalVerifier::rejudge(
                      address_affected(tests_[i].packet.src);
     }
     if (!must_recheck && !changed_devices.empty()) {
-      if (multipath_) {
-        // The cached trace is only the worst branch; an edited device could
-        // sit on an unexplored sibling branch, so device edits invalidate
-        // every cached verdict under multipath semantics.
-        must_recheck = true;
-      } else {
-        for (const auto& hop : cached.trace.hops) {
-          if (changed_devices.count(hop.router) != 0) {
-            must_recheck = true;
-            break;
-          }
+      for (const auto& hop : cached.trace.hops) {
+        if (changed_devices.count(hop.router) != 0) {
+          must_recheck = true;
+          break;
         }
       }
     }
@@ -153,9 +141,7 @@ void IncrementalVerifier::rejudge(
     ++stats.tests_reverified;
     TestResult fresh;
     fresh.test = tests_[i];
-    fresh.trace = multipath_
-                      ? dataplane.traceMultipath(tests_[i].packet).worst()
-                      : dataplane.trace(tests_[i].packet);
+    fresh.trace = dataplane.trace(tests_[i].packet);
     fresh.passed = judgeTest(
         intents_[static_cast<std::size_t>(tests_[i].intent_index)], fresh.trace,
         &fresh.reason);
@@ -183,8 +169,7 @@ CandidateBatch::Probe CandidateBatch::probe(const topo::Network& candidate) {
   Probe out;
   if (!tree_) {
     // The oracle: a from-scratch simulation judged on the whole suite.
-    const Verifier verifier(verifier_.intents_, verifier_.sim_options_,
-                            verifier_.multipath_);
+    const Verifier verifier(verifier_.intents_, verifier_.sim_options_);
     const route::SimResult sim =
         route::Simulator(candidate).run(verifier_.sim_options_);
     out.verdict.results = verifier.runTests(candidate, sim, verifier_.tests_);

@@ -31,8 +31,7 @@ class IncrementalVerifier {
  public:
   explicit IncrementalVerifier(std::vector<Intent> intents,
                                route::SimOptions sim_options = {},
-                               int samples_per_intent = 1,
-                               bool multipath = false);
+                               int samples_per_intent = 1);
 
   /// Full verification; primes the cache. When `seed_sim` is a compatible
   /// pre-converged simulation of `network` (e.g. the acrd snapshot cache's
@@ -89,7 +88,6 @@ class IncrementalVerifier {
   std::vector<Intent> intents_;
   std::vector<TestCase> tests_;
   route::SimOptions sim_options_;
-  bool multipath_ = false;
   Stats stats_;
 
   std::optional<route::SimResult> cached_sim_;
@@ -117,8 +115,7 @@ class IncrementalVerifier {
 /// every test of the verifier's suite.
 ///
 /// Lifetimes: `verifier` must not be re-anchored (update()) while the batch
-/// lives; `base` must outlive the batch. One batch per thread; several
-/// batches may share one verifier across threads.
+/// lives; `base` must outlive the batch. A batch is not thread-safe.
 class CandidateBatch {
  public:
   struct Probe {

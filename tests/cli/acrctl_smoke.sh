@@ -63,10 +63,6 @@ grep -q '"counters"' "$WORK/campaign.json.out" \
   || fail "campaign --obs-out"
 grep -q '"counters"' "$WORK/campaign.obs.json" || fail "--obs-out file dump"
 
-"$ACRCTL" repair "$WORK/broken" --jobs 2 > "$WORK/repair2.out" \
-  || fail "repair --jobs"
-grep -q "repaired" "$WORK/repair2.out" || fail "parallel repair outcome"
-
 # --- exit-code contract: 0 ok, 1 failed, 2 usage -------------------------
 
 expect_exit() {
@@ -85,6 +81,8 @@ expect_exit 2 "unknown flag"        "$ACRCTL" verify "$WORK/clean" --frobnicate
 expect_exit 2 "flag wrong command"  "$ACRCTL" verify "$WORK/clean" --metric ochiai
 expect_exit 2 "unknown metric"      "$ACRCTL" triage "$WORK/broken" --metric bogus
 expect_exit 2 "flag missing value"  "$ACRCTL" repair "$WORK/broken" --seed
+expect_exit 2 "malformed seed"      "$ACRCTL" repair "$WORK/broken" --seed abc
+expect_exit 2 "malformed incidents" "$ACRCTL" campaign --incidents abc
 expect_exit 2 "missing args"        "$ACRCTL"
 expect_exit 2 "export without out"  "$ACRCTL" export --scenario figure2
 expect_exit 1 "bad scenario dir"    "$ACRCTL" verify "$WORK/does-not-exist"
@@ -92,5 +90,9 @@ expect_exit 2 "remote without port" "$ACRCTL" remote stats
 expect_exit 2 "bad remote verb"     "$ACRCTL" remote frobnicate
 expect_exit 1 "remote no daemon"    "$ACRCTL" remote stats --port 1
 expect_exit 2 "removed fleet verb"  "$ACRCTL" fleet stats --nodes 127.0.0.1:1
+expect_exit 2 "removed repair jobs" "$ACRCTL" repair "$WORK/broken" --jobs 2
+expect_exit 2 "removed multipath"   "$ACRCTL" repair "$WORK/broken" --multipath
+expect_exit 2 "removed submit jobs" \
+  "$ACRCTL" remote submit "$WORK/broken" --port 1 --jobs 2
 
 echo "acrctl smoke: OK"

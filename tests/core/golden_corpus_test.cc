@@ -11,22 +11,18 @@
 namespace acr {
 namespace {
 
+// ACR_SOURCE_DIR is the repository root (tests/CMakeLists.txt), so the
+// corpus is found from any build directory, in-tree or not.
 std::string corpusDir() {
-  // The test binary runs from build/tests; walk up until testdata/ appears.
-  std::filesystem::path dir = std::filesystem::current_path();
-  for (int depth = 0; depth < 6; ++depth) {
-    const std::filesystem::path candidate = dir / "testdata" / "figure2-incident";
-    if (std::filesystem::exists(candidate / "topology.acr")) {
-      return candidate.string();
-    }
-    dir = dir.parent_path();
-  }
-  return {};
+  const std::filesystem::path dir =
+      std::filesystem::path(ACR_SOURCE_DIR) / "testdata" / "figure2-incident";
+  return std::filesystem::exists(dir / "topology.acr") ? dir.string() : "";
 }
 
 TEST(GoldenCorpus, LoadsAndReproducesTheIncident) {
   const std::string dir = corpusDir();
-  ASSERT_FALSE(dir.empty()) << "testdata/figure2-incident not found";
+  ASSERT_FALSE(dir.empty()) << "testdata/figure2-incident not found under "
+                            << ACR_SOURCE_DIR;
   const Scenario scenario = loadScenario(dir);
   EXPECT_EQ(scenario.network().configs.size(), 4u);
   EXPECT_FALSE(scenario.intents.empty());

@@ -22,7 +22,6 @@ void expectSameRecordedOptions(const repair::RepairOptions& a,
   EXPECT_EQ(a.batch_validate, b.batch_validate);
   EXPECT_EQ(a.brute_force, b.brute_force);
   EXPECT_EQ(a.use_crossover, b.use_crossover);
-  EXPECT_EQ(a.multipath, b.multipath);
   EXPECT_EQ(a.tolerance_k, b.tolerance_k);
   EXPECT_EQ(a.symbolic, b.symbolic);
   EXPECT_EQ(a.symbolic_suspicion, b.symbolic_suspicion);
@@ -44,7 +43,6 @@ TEST(Ops, RepairOptionsJsonRoundTrips) {
   options.batch_validate = false;
   options.brute_force = true;
   options.use_crossover = true;
-  options.multipath = true;
   options.tolerance_k = 2;
   options.symbolic = true;
   options.symbolic_suspicion = 0.25;
@@ -63,12 +61,11 @@ TEST(Ops, RepairOptionsJsonRoundTrips) {
   const std::vector<std::string> expected_keys = {
       "batch_validate",         "brute_force",
       "max_iterations",         "metric",
-      "multipath",              "samples_per_intent",
-      "seed",                   "symbolic",
-      "symbolic_fork_budget",   "symbolic_max_variables",
-      "symbolic_suspicion",     "tolerance_k",
-      "top_k_lines",            "use_crossover",
-      "use_incremental"};
+      "samples_per_intent",     "seed",
+      "symbolic",               "symbolic_fork_budget",
+      "symbolic_max_variables", "symbolic_suspicion",
+      "tolerance_k",            "top_k_lines",
+      "use_crossover",          "use_incremental"};
   EXPECT_EQ(keys, expected_keys);
 
   // In memory, and through the rendered text a recording stores.

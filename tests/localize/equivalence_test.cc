@@ -211,37 +211,5 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ---------------------------------------------------------------------------
-// Whole-engine byte-identity at any worker count.
-// ---------------------------------------------------------------------------
-
-repair::RepairResult repairDcnIncident(int validate_jobs) {
-  acr::Scenario scenario = acr::dcnScenario(2, 2);
-  inject::FaultInjector injector(13);
-  const auto incident =
-      injector.inject(scenario.built, inject::FaultType::kMissingPbrPermit);
-  EXPECT_TRUE(incident.has_value());
-  repair::RepairOptions options;
-  options.seed = 23;
-  options.validate_jobs = validate_jobs;
-  return repair::AcrEngine(scenario.intents, options)
-      .repair(incident->network);
-}
-
-TEST(LocalizeEquivalenceEngine, RepairOutputIdenticalAtAnyJobs) {
-  const repair::RepairResult sequential = repairDcnIncident(1);
-  const repair::RepairResult parallel = repairDcnIncident(4);
-  ASSERT_TRUE(sequential.success);
-  EXPECT_EQ(sequential.termination, parallel.termination);
-  EXPECT_EQ(sequential.iterations, parallel.iterations);
-  EXPECT_EQ(sequential.final_failed, parallel.final_failed);
-  EXPECT_EQ(sequential.changes, parallel.changes);
-  EXPECT_EQ(sequential.validations, parallel.validations);
-  ASSERT_EQ(sequential.diff.size(), parallel.diff.size());
-  for (std::size_t i = 0; i < sequential.diff.size(); ++i) {
-    EXPECT_EQ(sequential.diff[i].str(), parallel.diff[i].str());
-  }
-}
-
 }  // namespace
 }  // namespace acr::sbfl

@@ -1,7 +1,7 @@
-// Flight-recorder contract: recordings are byte-identical at any
-// validate_jobs value, a cancel raised mid-validate ends the recording with
-// a terminal `cancelled` event (and no dangling spans), and `explain`
-// renders deterministically from the parsed events.
+// Flight-recorder contract: recordings are byte-identical across runs, a
+// cancel raised mid-validate ends the recording with a terminal `cancelled`
+// event (and no dangling spans), and `explain` renders deterministically
+// from the parsed events.
 #include "obs/record.hpp"
 
 #include <gtest/gtest.h>
@@ -16,12 +16,10 @@
 namespace acr::obs {
 namespace {
 
-std::string recordFigure2Repair(int validate_jobs, bool brute_force = false,
-                                int top_k_lines = 3) {
+std::string recordFigure2Repair(bool brute_force = false, int top_k_lines = 3) {
   const acr::Scenario scenario = acr::figure2Scenario(true);
   repair::RepairOptions options;
   options.seed = 23;
-  options.validate_jobs = validate_jobs;
   options.brute_force = brute_force;
   options.top_k_lines = top_k_lines;
   FlightRecorder recorder;
@@ -32,22 +30,17 @@ std::string recordFigure2Repair(int validate_jobs, bool brute_force = false,
   return recorder.text();
 }
 
-TEST(Recorder, ByteIdenticalAcrossValidateJobs) {
-  const std::string sequential = recordFigure2Repair(1);
-  const std::string parallel = recordFigure2Repair(4);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(sequential, parallel);
-}
-
 TEST(Recorder, ByteIdenticalAcrossRuns) {
-  EXPECT_EQ(recordFigure2Repair(2), recordFigure2Repair(2));
+  const std::string first = recordFigure2Repair();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, recordFigure2Repair());
 }
 
 TEST(Recorder, CapturesSmtQueriesOnWideBruteForce) {
   // top_k 8 reaches the narrow-override-list template on Figure 2's
   // catch-all prefix list, whose model comes from the SMT solver.
   const std::string text =
-      recordFigure2Repair(1, /*brute_force=*/true, /*top_k_lines=*/8);
+      recordFigure2Repair(/*brute_force=*/true, /*top_k_lines=*/8);
   EXPECT_NE(text.find("\"event\":\"smt\""), std::string::npos);
   EXPECT_NE(text.find("\"sat\":true"), std::string::npos);
 }
@@ -89,7 +82,6 @@ TEST(Recorder, CancelMidValidateEndsWithCancelledEvent) {
   std::atomic<bool> cancel{false};
   repair::RepairOptions options;
   options.seed = 23;
-  options.validate_jobs = 2;
   options.cancel = &cancel;
   CancelAfterFirstVerdict recorder(&cancel);
   options.recorder = &recorder;
@@ -108,7 +100,7 @@ TEST(Recorder, CancelMidValidateEndsWithCancelledEvent) {
 }
 
 TEST(Recorder, ParseAndExplainRoundTrip) {
-  const std::string text = recordFigure2Repair(1);
+  const std::string text = recordFigure2Repair();
   std::vector<util::Json> events;
   ASSERT_TRUE(parseRecording(text, &events));
   ASSERT_FALSE(events.empty());

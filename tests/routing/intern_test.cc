@@ -5,9 +5,9 @@
 // The determinism contract under test is the one intern.hpp states: ids are
 // a function of the interning *sequence* only, seeding derives that
 // sequence from the network alone, and clones preserve ids exactly — which
-// is why verdicts are byte-identical at any `validate_jobs`
-// (tests/repair/engine_parallel_test.cc checks the same property end to
-// end through the repair engine).
+// is why verdicts are byte-identical at any campaign `--jobs`
+// (tests/core/campaign_parallel_test.cc checks the same property end to
+// end through the campaign runner).
 #include "routing/intern.hpp"
 
 #include <gtest/gtest.h>
@@ -121,7 +121,7 @@ TEST(InternTables, VerdictsIdenticalAtAnyWorkerCount) {
   // Four workers evaluating the same candidate concurrently (each run owns
   // a private clone of the baseline tables) must produce results
   // byte-identical to the sequential run — the interner-level half of the
-  // `validate_jobs` stability contract.
+  // campaign's and acrd's any-worker-count stability contract.
   const acr::Scenario scenario = acr::dcnScenario(2, 2);
   SimOptions options;
   options.record_provenance = false;

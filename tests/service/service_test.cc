@@ -163,6 +163,24 @@ TEST(RepairService, VerifyJobMatchesOfflineBytes) {
   EXPECT_EQ(response.find("output")->asString(), offline.text);
 }
 
+// `jobs` is not a submit field: like any unknown key it is ignored, so the
+// job's bytes are those of the same submit without it.
+TEST(RepairService, SubmitIgnoresJobsField) {
+  TempDir scratch;
+  saveScenario(figure2Scenario(true), scratch.dir("faulty"));
+  util::MetricsRegistry metrics;
+  RepairService service(testOptions(metrics));
+  const Json plain =
+      service.handle(submitRequest(scratch.dir("faulty"), "repair", true));
+  Json with_jobs = submitRequest(scratch.dir("faulty"), "repair", true);
+  with_jobs.set("jobs", 4);
+  const Json jobs = service.handle(with_jobs);
+  ASSERT_TRUE(plain.find("ok")->asBool()) << plain.str();
+  ASSERT_TRUE(jobs.find("ok")->asBool()) << jobs.str();
+  EXPECT_EQ(jobs.find("exit")->asInt(), plain.find("exit")->asInt());
+  EXPECT_EQ(jobs.find("output")->asString(), plain.find("output")->asString());
+}
+
 TEST(RepairService, StatusResultCancelLifecycle) {
   TempDir scratch;
   saveScenario(figure2Scenario(true), scratch.dir("faulty"));

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenarios.hpp"
-#include "repair/engine.hpp"
+#include "verify/verifier.hpp"
 
 namespace acr::verify {
 namespace {
@@ -85,31 +85,6 @@ TEST(Ecmp, SinglePathVerificationMissesHiddenBranchFault) {
   for (const auto* failure : verdict.failures()) {
     EXPECT_EQ(failure->trace.outcome, dp::TraceOutcome::kDroppedByPbr);
   }
-}
-
-TEST(Ecmp, MultipathRepairFixesTheHiddenBranch) {
-  const acr::Scenario scenario = acr::dcnScenario(2, 2);
-  topo::Network broken = scenario.network();
-  {
-    cfg::PbrPolicy drop;
-    drop.name = "OOPS";
-    cfg::PbrRule deny;
-    deny.index = 10;
-    deny.action = cfg::PbrAction::kDeny;
-    deny.destination = *net::Prefix::parse("10.1.0.0/16");
-    drop.rules.push_back(deny);
-    broken.config("core2")->pbr_policies.push_back(drop);
-    broken.renumberAll();
-  }
-
-  repair::RepairOptions options;
-  options.multipath = true;
-  options.seed = 3;
-  const repair::RepairResult result =
-      repair::AcrEngine(scenario.intents, options).repair(broken);
-  ASSERT_TRUE(result.success) << result.summary();
-  const Verifier multipath(scenario.intents, {}, /*multipath=*/true);
-  EXPECT_TRUE(multipath.verify(result.repaired).ok());
 }
 
 TEST(Ecmp, CorrectNetworksPassMultipathVerification) {

@@ -5,8 +5,8 @@
 //   acrctl verify  DIR
 //   acrctl triage  DIR [--metric tarantula|ochiai|jaccard|dstar2]
 //   acrctl repair  DIR [--out DIR2] [--metric M] [--brute-force]
-//                      [--crossover] [--multipath] [--symbolic]
-//                      [--seed S] [--jobs N] [--metrics|--metrics-json]
+//                      [--crossover] [--symbolic] [--seed S]
+//                      [--metrics|--metrics-json]
 //                      [--trace|--trace-json] [--record PATH]
 //                      [--obs-out PATH]
 //   acrctl explain RECORDING [--replay DIR]
@@ -18,6 +18,7 @@
 // Scenario names: figure2, figure2-faulty, dcn[-PxT], backbone[-N].
 // A scenario directory is the serialization format of core/serialization.hpp
 // (topology.acr + intents.acr + one .cfg per device, either dialect).
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -57,10 +58,9 @@ using namespace acr;
       "  acrctl verify  DIR\n"
       "  acrctl triage  DIR [--metric tarantula|ochiai|jaccard|dstar2]\n"
       "  acrctl repair  DIR [--out DIR2] [--metric M] [--brute-force]\n"
-      "                 [--crossover] [--multipath]\n"
-      "                 [--symbolic] [--symbolic-threshold F]\n"
+      "                 [--crossover] [--symbolic] [--symbolic-threshold F]\n"
       "                 [--symbolic-vars N] [--symbolic-forks N]\n"
-      "                 [--report] [--seed S] [--jobs N] [--top-k N]\n"
+      "                 [--report] [--seed S] [--top-k N]\n"
       "                 [--metrics|--metrics-json] [--trace|--trace-json]\n"
       "                 [--record PATH] [--obs-out PATH]\n"
       "  acrctl explain RECORDING [--replay DIR]\n"
@@ -71,14 +71,14 @@ using namespace acr;
       "  acrctl list-faults\n"
       "  acrctl remote submit DIR [--command repair|verify] [--seed S]\n"
       "                [--metric M] [--priority N] [--report] [--wait]\n"
-      "                [--jobs N] [--retries N] [--retry-budget-ms N]\n"
+      "                [--retries N] [--retry-budget-ms N]\n"
       "  acrctl remote status|result|cancel ID [--wait]\n"
       "  acrctl remote stats | shutdown\n"
       "         (all remote verbs: [--host H] --port P)\n"
       "\n"
       "scenarios: figure2 | figure2-faulty | dcn-<pods>x<tors> | backbone-<n>\n"
-      "--jobs 0 = one worker per hardware thread; results are identical at\n"
-      "any --jobs value (parallelism changes wall-clock only).\n"
+      "campaign --jobs 0 = one worker per hardware thread; results are\n"
+      "identical at any --jobs value (parallelism changes wall-clock only).\n"
       "--metrics / --metrics-json dump the per-stage pipeline metrics\n"
       "(localize/fix/validate timings, verifier work, campaign counters)\n"
       "as a text table or JSON after the command runs.\n"
@@ -102,6 +102,19 @@ using namespace acr;
   std::exit(2);
 }
 
+/// Parses all of `text` as a T; anything else (trailing junk, a sign T
+/// cannot hold, out of range) is a usage error naming `what`.
+template <typename T>
+T parseNumber(const std::string& text, const std::string& what) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    usage((what + " needs a number, got '" + text + "'").c_str());
+  }
+  return value;
+}
+
 /// Tiny flag map: --key value and boolean --key.
 struct Args {
   std::string positional;
@@ -111,6 +124,14 @@ struct Args {
                                 const std::string& fallback = "") const {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
+  }
+  /// A numeric flag's value, `fallback` when absent; a malformed value is a
+  /// usage error (exit 2) naming the flag.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    return parseNumber<T>(it->second, "flag '--" + key + "'");
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return flags.count(key) != 0;
@@ -157,10 +178,10 @@ FlagSpec specFor(const std::string& command) {
   if (command == "verify") return {{}, {}};
   if (command == "triage") return {{"metric"}, {}};
   if (command == "repair") {
-    return {{"out", "metric", "seed", "jobs", "top-k", "record", "obs-out",
+    return {{"out", "metric", "seed", "top-k", "record", "obs-out",
              "symbolic-threshold", "symbolic-vars", "symbolic-forks"},
-            {"brute-force", "crossover", "multipath", "symbolic", "report",
-             "metrics", "metrics-json", "trace", "trace-json"}};
+            {"brute-force", "crossover", "symbolic", "report", "metrics",
+             "metrics-json", "trace", "trace-json"}};
   }
   if (command == "explain") return {{"replay"}, {}};
   if (command == "tolerance") return {{"k"}, {}};
@@ -276,7 +297,7 @@ int cmdInject(const Args& args) {
   const std::string out = args.get("out");
   if (out.empty()) usage("inject requires --out DIR");
   Scenario scenario = loadScenario(args.positional);
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+  const auto seed = args.number<std::uint64_t>("seed", 1);
   inject::FaultInjector injector(seed);
   const std::string fault = args.get("fault", "random");
   std::optional<inject::Incident> incident;
@@ -285,7 +306,7 @@ int cmdInject(const Args& args) {
       incident = injector.inject(scenario.built, injector.sampleType());
     }
   } else {
-    const std::size_t index = std::stoul(fault);
+    const auto index = args.number<std::size_t>("fault", 0);
     if (index >= inject::faultCatalog().size()) usage("fault index out of range");
     incident =
         injector.inject(scenario.built, inject::faultCatalog()[index].type);
@@ -362,27 +383,22 @@ int cmdRepair(const Args& args) {
   options.metric = metricByName(args.get("metric", "tarantula"));
   options.brute_force = args.has("brute-force");
   options.use_crossover = args.has("crossover");
-  options.multipath = args.has("multipath");
   // --symbolic: selective symbolic simulation (docs/symbolic.md) — solve
   // multi-line, multi-device fixes as one SMT conjunction before the
   // concrete template loop. The value flags tune the device gate and the
   // path-condition fork budget.
   options.symbolic = args.has("symbolic");
-  options.symbolic_suspicion = std::stod(
-      args.get("symbolic-threshold", std::to_string(options.symbolic_suspicion)));
-  options.symbolic_max_variables = std::stoi(args.get(
-      "symbolic-vars", std::to_string(options.symbolic_max_variables)));
-  options.symbolic_fork_budget = std::stoi(args.get(
-      "symbolic-forks", std::to_string(options.symbolic_fork_budget)));
-  options.seed = std::stoull(args.get("seed", "1"));
+  options.symbolic_suspicion =
+      args.number("symbolic-threshold", options.symbolic_suspicion);
+  options.symbolic_max_variables =
+      args.number("symbolic-vars", options.symbolic_max_variables);
+  options.symbolic_fork_budget =
+      args.number("symbolic-forks", options.symbolic_fork_budget);
+  options.seed = args.number<std::uint64_t>("seed", 1);
   // --top-k widens the FIX stage beyond the default 3 suspicious lines —
   // e.g. to reach value-solving templates on lines that tie below the
   // cutoff (the Figure-2 narrow-override-list fix needs the full ranking).
-  options.top_k_lines =
-      std::stoi(args.get("top-k", std::to_string(options.top_k_lines)));
-  // A single repair parallelizes at candidate granularity (VALIDATE
-  // fan-out); the campaign command instead parallelizes across incidents.
-  options.validate_jobs = std::stoi(args.get("jobs", "1"));
+  options.top_k_lines = args.number("top-k", options.top_k_lines);
   // --record: flight-record the run. The `begin` event carries the scenario
   // fingerprint and every byte-affecting option so `explain --replay` can
   // reproduce the recording exactly.
@@ -520,7 +536,7 @@ int cmdTolerance(const Args& args) {
   if (args.positional.empty()) usage("tolerance requires a scenario directory");
   const Scenario scenario = loadScenario(args.positional);
   verify::FailureToleranceOptions options;
-  options.max_link_failures = std::stoi(args.get("k", "1"));
+  options.max_link_failures = args.number("k", 1);
   const verify::FailureToleranceReport report =
       verify::verifyUnderFailures(scenario.network(), scenario.intents, options);
   std::printf("%d failure scenario(s) checked%s, %zu violating\n",
@@ -545,9 +561,9 @@ int cmdTolerance(const Args& args) {
 int cmdCampaign(const Args& args) {
   maybeEnableTracing(args);
   CampaignOptions options;
-  options.incidents = std::stoi(args.get("incidents", "50"));
-  options.seed = std::stoull(args.get("seed", "42"));
-  options.jobs = std::stoi(args.get("jobs", "0"));  // 0 = hardware threads
+  options.incidents = args.number("incidents", 50);
+  options.seed = args.number<std::uint64_t>("seed", 42);
+  options.jobs = args.number("jobs", 0);  // 0 = hardware threads
   const CampaignResult campaign = runCampaign(options);
   std::printf("%zu incidents, %d repaired (%d worker(s))\n",
               campaign.records.size(), campaign.repairedCount(),
@@ -599,8 +615,8 @@ int cmdRemote(int argc, char** argv) {
   const std::string verb = argv[2];
   FlagSpec spec{{"host", "port"}, {}};
   if (verb == "submit") {
-    spec.value_flags.insert({"command", "seed", "metric", "priority", "jobs",
-                             "retries", "retry-budget-ms"});
+    spec.value_flags.insert({"command", "seed", "metric", "priority", "retries",
+                             "retry-budget-ms"});
     spec.bool_flags.insert({"report", "wait"});
   } else if (verb == "result") {
     spec.bool_flags.insert("wait");
@@ -609,9 +625,8 @@ int cmdRemote(int argc, char** argv) {
     usage(("unknown remote verb '" + verb + "'").c_str());
   }
   const Args args = parseArgs(argc, argv, 3, spec);
-  const std::string port_text = args.get("port");
-  if (port_text.empty()) usage("remote requires --port P");
-  service::Client client(args.get("host", "127.0.0.1"), std::stoi(port_text));
+  if (!args.has("port")) usage("remote requires --port P");
+  const int port = args.number("port", 0);
 
   service::Json request;
   request.set("op", verb);
@@ -626,14 +641,10 @@ int cmdRemote(int argc, char** argv) {
       request.set("metric", args.get("metric"));
     }
     if (args.has("seed")) {
-      request.set("seed",
-                  static_cast<std::uint64_t>(std::stoull(args.get("seed"))));
-    }
-    if (args.has("jobs")) {
-      request.set("jobs", std::stoi(args.get("jobs")));
+      request.set("seed", args.number<std::uint64_t>("seed", 1));
     }
     if (args.has("priority")) {
-      request.set("priority", std::stoi(args.get("priority")));
+      request.set("priority", args.number("priority", 0));
     }
     if (args.has("report")) request.set("report", true);
     if (args.has("wait")) request.set("wait", true);
@@ -641,11 +652,11 @@ int cmdRemote(int argc, char** argv) {
     if (args.positional.empty()) {
       usage(("remote " + verb + " requires a job id").c_str());
     }
-    request.set("id",
-                static_cast<std::uint64_t>(std::stoull(args.positional)));
+    request.set("id", parseNumber<std::uint64_t>(args.positional, "job id"));
     if (args.has("wait")) request.set("wait", true);
   }
 
+  service::Client client(args.get("host", "127.0.0.1"), port);
   service::Json response = client.call(request);
   if (verb == "submit") {
     // Honor the daemon's backpressure hint: a rejection carrying
@@ -653,9 +664,8 @@ int cmdRemote(int argc, char** argv) {
     // exponential backoff (hint × 2^attempt, plus jitter so a herd of
     // rejected clients does not re-arrive in lockstep) until the retry
     // count or the wall-clock budget runs out.
-    const int max_retries = std::stoi(args.get("retries", "5"));
-    const long long budget_ms =
-        std::stoll(args.get("retry-budget-ms", "10000"));
+    const int max_retries = args.number("retries", 5);
+    const auto budget_ms = args.number<long long>("retry-budget-ms", 10000);
     long long slept_ms = 0;
     std::mt19937_64 rng(std::random_device{}());
     for (int attempt = 0; attempt < max_retries; ++attempt) {
