@@ -18,8 +18,10 @@
 //
 // --smoke runs the smallest fabric once (CI wiring check); --json replaces
 // the table with a machine-readable array (committed as
-// BENCH_candidate_batch.json for regression tracking). Full runs self-gate:
-// the harness exits non-zero if the dcn-8x8 batch speedup drops below 5x.
+// BENCH_candidate_batch.json for regression tracking). The exit code
+// reflects only the identity checks: the speedup column is reported, not
+// gated, because whether the base node pays is an end-to-end question
+// (docs/performance.md, layer 4).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -307,20 +309,6 @@ int main(int argc, char** argv) {
                       std::to_string(c.undo_entries)});
     }
     table.printRule();
-  }
-
-  // Regression gate: the committed claim is a >= 5x batch win on the
-  // largest fabric. Smoke runs only check wiring on the smallest one.
-  if (!smoke) {
-    for (const Case& c : cases) {
-      if (c.scenario == "dcn-8x8" && c.speedup() < 5.0) {
-        std::fprintf(stderr,
-                     "bench_candidate_batch: dcn-8x8 speedup %.1fx below the "
-                     "5x gate\n",
-                     c.speedup());
-        return 1;
-      }
-    }
   }
   return 0;
 }

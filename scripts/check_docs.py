@@ -17,7 +17,9 @@ Checks:
   * every `RepairOptions::<field>` named in docs/*.md, README.md, DESIGN.md
     or EXPERIMENTS.md is declared in src/repair/engine.hpp — a deleted knob
     must not live on in the documentation. CHANGES.md and ROADMAP.md are
-    history and plans, so they may name removed fields.
+    history and plans, so they may name removed fields;
+  * every `bench_<name>` named in the same files is declared in
+    bench/CMakeLists.txt — a deleted bench must not live on either.
 
 External links (http/https/mailto) and pure in-page anchors are skipped.
 Exits 0 when everything resolves, 1 otherwise. Stdlib only: CI containers
@@ -35,7 +37,9 @@ BENCH_DECL = re.compile(r"^\s*(?:acr_add_bench|add_executable)\((bench_\w+)")
 OPTION_REF = re.compile(r"RepairOptions::(\w+)")
 # A data member of the struct: `type name = default;` or `type name;`.
 OPTION_DECL = re.compile(r"^\s+[\w:<>,*& ]+?[\s*&](\w+)\s*(?:=[^;]*)?;")
-OPTION_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+CURRENT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+# A bench binary's name; not `.bench_build/`, e2ebench's build directory.
+BENCH_REF = re.compile(r"(?<![\w.])(bench_\w+)")
 
 
 def markdown_files(root):
@@ -71,14 +75,17 @@ def check_links(root):
     return errors
 
 
+def declared_benches(root):
+    with open(os.path.join(root, "bench", "CMakeLists.txt"), "r",
+              encoding="utf-8") as handle:
+        return [m.group(1) for m in
+                (BENCH_DECL.match(line) for line in handle) if m is not None]
+
+
 def check_bench_coverage(root):
     errors = []
-    cmake = os.path.join(root, "bench", "CMakeLists.txt")
+    declared = declared_benches(root)
     benchmarks_md = os.path.join(root, "docs", "benchmarks.md")
-    with open(cmake, "r", encoding="utf-8") as handle:
-        declared = [m.group(1) for m in
-                    (BENCH_DECL.match(line) for line in handle)
-                    if m is not None]
     with open(benchmarks_md, "r", encoding="utf-8") as handle:
         documented = handle.read()
     for name in declared:
@@ -103,11 +110,7 @@ def check_artifact_coverage(root):
 
 def check_artifact_pairing(root):
     errors = []
-    cmake = os.path.join(root, "bench", "CMakeLists.txt")
-    with open(cmake, "r", encoding="utf-8") as handle:
-        declared = set(m.group(1) for m in
-                       (BENCH_DECL.match(line) for line in handle)
-                       if m is not None)
+    declared = set(declared_benches(root))
     for entry in sorted(os.listdir(root)):
         if entry.startswith("BENCH_") and entry.endswith(".json"):
             generator = "bench_" + entry[len("BENCH_"):-len(".json")]
@@ -133,10 +136,11 @@ def declared_repair_options(root):
     return fields
 
 
-def check_repair_options(root):
+def check_names(root, pattern, declared, message):
+    """Flags every `pattern` match in the current docs whose first group is
+    not in `declared`; `message` is formatted with the undeclared name."""
     errors = []
-    declared = declared_repair_options(root)
-    files = [name for name in OPTION_DOCS
+    files = [name for name in CURRENT_DOCS
              if os.path.exists(os.path.join(root, name))]
     files += [path for path in markdown_files(root)
               if path.startswith("docs" + os.sep)]
@@ -144,12 +148,22 @@ def check_repair_options(root):
         with open(os.path.join(root, relpath), "r", encoding="utf-8") as handle:
             lines = handle.read().split("\n")
         for lineno, line in enumerate(lines, start=1):
-            for match in OPTION_REF.finditer(line):
+            for match in pattern.finditer(line):
                 if match.group(1) not in declared:
-                    errors.append("%s:%d: RepairOptions::%s is not declared in "
-                                  "src/repair/engine.hpp"
-                                  % (relpath, lineno, match.group(1)))
+                    errors.append("%s:%d: %s" % (relpath, lineno,
+                                                 message % match.group(1)))
     return errors
+
+
+def check_repair_options(root):
+    return check_names(root, OPTION_REF, declared_repair_options(root),
+                       "RepairOptions::%s is not declared in "
+                       "src/repair/engine.hpp")
+
+
+def check_bench_refs(root):
+    return check_names(root, BENCH_REF, set(declared_benches(root)),
+                       "%s is not declared in bench/CMakeLists.txt")
 
 
 def main(argv):
@@ -157,12 +171,13 @@ def main(argv):
         os.path.dirname(os.path.abspath(__file__)))
     errors = (check_links(root) + check_bench_coverage(root)
               + check_artifact_coverage(root) + check_artifact_pairing(root)
-              + check_repair_options(root))
+              + check_repair_options(root) + check_bench_refs(root))
     for error in errors:
         sys.stderr.write("check_docs: %s\n" % error)
     if not errors:
         print("check_docs: OK (%d markdown files, links + bench + "
-              "artifact coverage + artifact pairing + RepairOptions fields)"
+              "artifact coverage + artifact pairing + RepairOptions fields "
+              "+ bench names)"
               % len(markdown_files(root)))
     return 1 if errors else 0
 

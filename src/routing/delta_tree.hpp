@@ -64,7 +64,7 @@
 // leaf() call.
 //
 // Not thread-safe: one DeltaTree per evaluation thread (the repair engine
-// grows one verify::CandidateBatch per VALIDATE chunk).
+// builds one verify::CandidateBatch per VALIDATE round).
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the acrd daemon + acrctl remote client:
-#   boot (ephemeral port) -> remote verify/repair byte-identical to the
-#   offline runs -> repeated submits hit the snapshot cache -> job
-#   lifecycle (status/result) -> shutdown verb drains gracefully ->
-#   a second, traced daemon dies cleanly on SIGTERM and leaves a valid
-#   trace file.
+#   malformed numeric flags exit 2 -> boot (ephemeral port) -> remote
+#   verify/repair byte-identical to the offline runs -> repeated submits
+#   hit the snapshot cache -> job lifecycle (status/result) -> shutdown
+#   verb drains gracefully -> a second, traced daemon dies cleanly on
+#   SIGTERM and leaves a valid trace file.
 set -u
 
 ACRCTL="$1"
@@ -26,6 +26,23 @@ wait_for_port_file() {
   done
   fail "acrd did not write its port file"
 }
+
+# A malformed numeric flag is a usage error (exit 2) naming the flag: never
+# an abort, and never a port silently truncated to 16 bits. `timeout` turns
+# a daemon that starts anyway into a failure instead of a hang.
+expect_exit() {
+  local want="$1" flag="$2" value="$3"
+  timeout 10 "$ACRD" "$flag" "$value" > /dev/null 2> "$WORK/usage.err"
+  local got="$?"
+  [ "$got" = "$want" ] || fail "acrd $flag $value: expected exit $want, got $got"
+  grep -q -- "'$flag'" "$WORK/usage.err" \
+    || fail "acrd $flag $value: usage error should name the flag"
+}
+
+expect_exit 2 --workers abc
+expect_exit 2 --port 99999999999
+expect_exit 2 --port 70000
+expect_exit 2 --cache-bytes x
 
 "$ACRCTL" export --scenario figure2-faulty --out "$WORK/faulty" \
   || fail "export"

@@ -18,7 +18,6 @@
 // Scenario names: figure2, figure2-faulty, dcn[-PxT], backbone[-N].
 // A scenario directory is the serialization format of core/serialization.hpp
 // (topology.acr + intents.acr + one .cfg per device, either dialect).
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/acr.hpp"
 #include "core/ops.hpp"
 #include "core/serialization.hpp"
@@ -45,11 +45,9 @@
 #include "util/thread_pool.hpp"
 #include "verify/failures.hpp"
 
-namespace {
+namespace acr::cli {
 
-using namespace acr;
-
-[[noreturn]] void usage(const char* why = nullptr) {
+void usage(const char* why) {
   if (why != nullptr) std::fprintf(stderr, "error: %s\n\n", why);
   std::fputs(
       "usage:\n"
@@ -102,18 +100,13 @@ using namespace acr;
   std::exit(2);
 }
 
-/// Parses all of `text` as a T; anything else (trailing junk, a sign T
-/// cannot hold, out of range) is a usage error naming `what`.
-template <typename T>
-T parseNumber(const std::string& text, const std::string& what) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end) {
-    usage((what + " needs a number, got '" + text + "'").c_str());
-  }
-  return value;
-}
+}  // namespace acr::cli
+
+namespace {
+
+using namespace acr;
+using cli::parseNumber;
+using cli::usage;
 
 /// Tiny flag map: --key value and boolean --key.
 struct Args {

@@ -17,21 +17,20 @@
 // only then exits — an accepted job is never dropped.
 #include <atomic>
 #include <csignal>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "cli.hpp"
 #include "obs/trace.hpp"
 #include "service/server.hpp"
 
-namespace {
+namespace acr::cli {
 
-std::atomic<bool> g_stop{false};
-
-void onSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-[[noreturn]] void usage(const char* why = nullptr) {
+void usage(const char* why) {
   if (why != nullptr) std::fprintf(stderr, "error: %s\n\n", why);
   std::fputs(
       "usage:\n"
@@ -52,6 +51,23 @@ void onSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
   std::exit(2);
 }
 
+}  // namespace acr::cli
+
+namespace {
+
+using acr::cli::parseNumber;
+using acr::cli::usage;
+
+std::atomic<bool> g_stop{false};
+
+void onSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
+
+/// A numeric flag's value; a malformed one is a usage error naming the flag.
+template <typename T>
+T flagNumber(const std::string& flag, const std::string& text) {
+  return parseNumber<T>(text, "flag '" + flag + "'");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -70,17 +86,17 @@ int main(int argc, char** argv) {
     if (flag == "--host") {
       tcp.host = value();
     } else if (flag == "--port") {
-      tcp.port = std::stoi(value());
+      tcp.port = flagNumber<std::uint16_t>(flag, value());
     } else if (flag == "--workers") {
-      options.scheduler.workers = std::stoi(value());
+      options.scheduler.workers = flagNumber<int>(flag, value());
     } else if (flag == "--queue-limit") {
-      options.scheduler.queue_limit = std::stoi(value());
+      options.scheduler.queue_limit = flagNumber<int>(flag, value());
     } else if (flag == "--cache-bytes") {
-      options.cache.byte_budget = std::stoull(value());
+      options.cache.byte_budget = flagNumber<std::uint64_t>(flag, value());
     } else if (flag == "--no-cache") {
       options.cache_enabled = false;
     } else if (flag == "--max-line-bytes") {
-      tcp.max_line_bytes = std::stoull(value());
+      tcp.max_line_bytes = flagNumber<std::size_t>(flag, value());
     } else if (flag == "--port-file") {
       port_file = value();
     } else if (flag == "--trace") {
