@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -25,6 +26,7 @@
 #include "core/scenarios.hpp"
 #include "routing/delta_tree.hpp"
 #include "routing/simulator.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -59,9 +61,9 @@ double medianMs(std::vector<double>& samples) {
 
 bool sameResult(const route::SimResult& a, const route::SimResult& b) {
   // Rib::identicalTo compares effective per-entry state (source, learned-from,
-  // next hop, AS path, local-pref, MED) plus the ECMP sets — the same fields
-  // the old route-by-route key() walk covered, now with an O(1) shared-page
-  // fast path.
+  // next hop, AS path, local-pref, MED) — the same fields the old
+  // route-by-route key() walk covered, now with an O(1) shared-page fast
+  // path.
   return a.converged == b.converged && a.flapping == b.flapping &&
          a.rib.identicalTo(b.rib);
 }
@@ -135,22 +137,31 @@ Case runCase(const Scenario& scenario, const Edit& edit, int reps) {
 
 }  // namespace
 
+namespace acr::cli {
+
+void usage(const char* why) {
+  if (why != nullptr) std::fprintf(stderr, "bench_sim_incremental: %s\n", why);
+  std::fputs("usage: bench_sim_incremental [--reps N] [--smoke] [--json]\n",
+             stderr);
+  std::exit(2);
+}
+
+}  // namespace acr::cli
+
 int main(int argc, char** argv) {
   int reps = 9;
   bool smoke = false;
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      reps = acr::cli::parseNumber<int>(argv[++i], "--reps");
+      if (reps < 1) acr::cli::usage("--reps must be at least 1");
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_sim_incremental [--reps N] [--smoke] "
-                   "[--json]\n");
-      return 2;
+      acr::cli::usage();
     }
   }
 

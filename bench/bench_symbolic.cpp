@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "bench/util.hpp"
 #include "core/scenarios.hpp"
 #include "repair/engine.hpp"
+#include "tools/cli.hpp"
 #include "verify/verifier.hpp"
 
 namespace {
@@ -161,20 +163,31 @@ Case runCase(int pods, int tors, int holed_pods, int reps) {
 
 }  // namespace
 
+namespace acr::cli {
+
+void usage(const char* why) {
+  if (why != nullptr) std::fprintf(stderr, "bench_symbolic: %s\n", why);
+  std::fputs("usage: bench_symbolic [--reps N] [--smoke] [--json]\n",
+             stderr);
+  std::exit(2);
+}
+
+}  // namespace acr::cli
+
 int main(int argc, char** argv) {
   int reps = 3;
   bool smoke = false;
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      reps = acr::cli::parseNumber<int>(argv[++i], "--reps");
+      if (reps < 1) acr::cli::usage("--reps must be at least 1");
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else {
-      std::fprintf(stderr, "usage: bench_symbolic [--reps N] [--smoke] [--json]\n");
-      return 2;
+      acr::cli::usage();
     }
   }
 

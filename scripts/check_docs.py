@@ -18,8 +18,14 @@ Checks:
     or EXPERIMENTS.md is declared in src/repair/engine.hpp — a deleted knob
     must not live on in the documentation. CHANGES.md and ROADMAP.md are
     history and plans, so they may name removed fields;
+  * every `SimOptions::<field>` named in the same files is declared in
+    src/routing/simulator.hpp — the same rule for the simulator's options;
   * every `bench_<name>` named in the same files is declared in
-    bench/CMakeLists.txt — a deleted bench must not live on either.
+    bench/CMakeLists.txt — a deleted bench must not live on either;
+  * the backticked rule names of the fallback-rule table in
+    docs/architecture.md and the reason literals of
+    src/routing/delta_tree.cpp name the same set — a deleted rule must
+    leave the table, and a new one must enter it.
 
 External links (http/https/mailto) and pure in-page anchors are skipped.
 Exits 0 when everything resolves, 1 otherwise. Stdlib only: CI containers
@@ -35,11 +41,15 @@ import sys
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_DECL = re.compile(r"^\s*(?:acr_add_bench|add_executable)\((bench_\w+)")
 OPTION_REF = re.compile(r"RepairOptions::(\w+)")
+SIM_OPTION_REF = re.compile(r"SimOptions::(\w+)")
 # A data member of the struct: `type name = default;` or `type name;`.
 OPTION_DECL = re.compile(r"^\s+[\w:<>,*& ]+?[\s*&](\w+)\s*(?:=[^;]*)?;")
 CURRENT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 # A bench binary's name; not `.bench_build/`, e2ebench's build directory.
 BENCH_REF = re.compile(r"(?<![\w.])(bench_\w+)")
+# A fallback reason in delta_tree.cpp: every kebab-case string literal.
+REASON_LITERAL = re.compile(r'"([a-z]+(?:-[a-z]+)+)"')
+FALLBACK_TABLE_ANCHOR = "**Fallback rules.**"
 
 
 def markdown_files(root):
@@ -120,11 +130,11 @@ def check_artifact_pairing(root):
     return errors
 
 
-def declared_repair_options(root):
-    with open(os.path.join(root, "src", "repair", "engine.hpp"), "r",
-              encoding="utf-8") as handle:
+def declared_fields(root, header, struct):
+    """Data members of `struct` as declared in the `header` path parts."""
+    with open(os.path.join(root, *header), "r", encoding="utf-8") as handle:
         text = handle.read()
-    body = text[text.index("struct RepairOptions {"):]
+    body = text[text.index("struct %s {" % struct):]
     body = body[:body.index("\n};")]
     fields = set()
     for line in body.split("\n")[1:]:
@@ -156,9 +166,53 @@ def check_names(root, pattern, declared, message):
 
 
 def check_repair_options(root):
-    return check_names(root, OPTION_REF, declared_repair_options(root),
+    return check_names(root, OPTION_REF,
+                       declared_fields(root, ("src", "repair", "engine.hpp"),
+                                       "RepairOptions"),
                        "RepairOptions::%s is not declared in "
                        "src/repair/engine.hpp")
+
+
+def check_sim_options(root):
+    return check_names(root, SIM_OPTION_REF,
+                       declared_fields(root,
+                                       ("src", "routing", "simulator.hpp"),
+                                       "SimOptions"),
+                       "SimOptions::%s is not declared in "
+                       "src/routing/simulator.hpp")
+
+
+def documented_fallback_rules(root):
+    """Backticked names in the first cell of each fallback-table row."""
+    with open(os.path.join(root, "docs", "architecture.md"), "r",
+              encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(FALLBACK_TABLE_ANCHOR))
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows:
+            break  # the end of the table
+    rules = set()
+    for row in rows[2:]:  # skip the header and its separator
+        rules.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    return rules
+
+
+def check_fallback_rules(root):
+    with open(os.path.join(root, "src", "routing", "delta_tree.cpp"), "r",
+              encoding="utf-8") as handle:
+        reasons = set(REASON_LITERAL.findall(handle.read()))
+    documented = documented_fallback_rules(root)
+    errors = ["docs/architecture.md: fallback rule `%s` is not a reason in "
+              "src/routing/delta_tree.cpp" % rule
+              for rule in sorted(documented - reasons)]
+    errors += ["src/routing/delta_tree.cpp: reason \"%s\" has no row in the "
+               "fallback-rule table of docs/architecture.md" % reason
+               for reason in sorted(reasons - documented)]
+    return errors
 
 
 def check_bench_refs(root):
@@ -171,13 +225,14 @@ def main(argv):
         os.path.dirname(os.path.abspath(__file__)))
     errors = (check_links(root) + check_bench_coverage(root)
               + check_artifact_coverage(root) + check_artifact_pairing(root)
-              + check_repair_options(root) + check_bench_refs(root))
+              + check_repair_options(root) + check_sim_options(root)
+              + check_bench_refs(root) + check_fallback_rules(root))
     for error in errors:
         sys.stderr.write("check_docs: %s\n" % error)
     if not errors:
         print("check_docs: OK (%d markdown files, links + bench + "
-              "artifact coverage + artifact pairing + RepairOptions fields "
-              "+ bench names)"
+              "artifact coverage + artifact pairing + RepairOptions and "
+              "SimOptions fields + bench names + fallback rules)"
               % len(markdown_files(root)))
     return 1 if errors else 0
 

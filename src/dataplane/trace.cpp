@@ -42,32 +42,16 @@ std::string TraceResult::str() const {
   return out;
 }
 
-const TraceResult& MultiTrace::worst() const {
-  for (const auto& path : paths) {
-    if (path.outcome != TraceOutcome::kDelivered || path.destination_flapping) {
-      return path;
-    }
-  }
-  return paths.front();
-}
-
-bool MultiTrace::allDelivered() const {
-  for (const auto& path : paths) {
-    if (!path.delivered()) return false;
-  }
-  return !paths.empty();
-}
-
 namespace {
 
 /// One forwarding decision at `current`. Either terminal (outcome decided)
-/// or a set of possible next routers (ECMP alternatives, selected first).
+/// or the next router.
 struct Step {
   Hop hop;
   bool terminal = true;
   TraceOutcome outcome = TraceOutcome::kBlackhole;
   std::string detail;
-  std::vector<std::string> next;
+  std::string next;
 };
 
 Step stepAt(const topo::Network& network, const route::SimResult& sim,
@@ -112,7 +96,7 @@ Step stepAt(const topo::Network& network, const route::SimResult& sim,
       return step;
     }
     step.terminal = false;
-    step.next.push_back(*next_router);
+    step.next = *next_router;
     return step;
   }
 
@@ -140,16 +124,13 @@ Step stepAt(const topo::Network& network, const route::SimResult& sim,
       return step;
     }
     step.terminal = false;
-    step.next.push_back(*next_router);
+    step.next = *next_router;
     return step;
   }
 
-  // BGP route: the selected neighbor first, then any equal-cost siblings.
+  // BGP route: forward to the advertising neighbor.
   step.terminal = false;
-  step.next.push_back(route->learned_from);
-  for (const auto& [neighbor, next_hop] : route->ecmp) {
-    if (neighbor != route->learned_from) step.next.push_back(neighbor);
-  }
+  step.next = route->learned_from;
   return step;
 }
 
@@ -188,57 +169,12 @@ TraceResult DataPlane::traceFrom(const std::string& ingress,
       result.detail = std::move(step.detail);
       return result;
     }
-    current = step.next.front();  // single-path semantics: the selected hop
+    current = std::move(step.next);
   }
 
   result.outcome = TraceOutcome::kLoop;
   result.detail = "hop limit exceeded";
   return result;
-}
-
-void DataPlane::explore(const std::string& current,
-                        const net::FiveTuple& packet,
-                        std::set<std::string> visited, TraceResult partial,
-                        MultiTrace& out, int max_paths) const {
-  if (static_cast<int>(out.paths.size()) >= max_paths) {
-    out.truncated = true;
-    return;
-  }
-  if (!visited.insert(current).second ||
-      partial.hops.size() >= 64) {
-    partial.outcome = TraceOutcome::kLoop;
-    partial.detail = "revisited " + current;
-    out.paths.push_back(std::move(partial));
-    return;
-  }
-  Step step = stepAt(network_, sim_, current, packet);
-  partial.hops.push_back(std::move(step.hop));
-  if (step.terminal) {
-    partial.outcome = step.outcome;
-    partial.detail = std::move(step.detail);
-    out.paths.push_back(std::move(partial));
-    return;
-  }
-  for (const auto& next : step.next) {
-    explore(next, packet, visited, partial, out, max_paths);
-  }
-}
-
-MultiTrace DataPlane::traceMultipath(const net::FiveTuple& packet,
-                                     int max_paths) const {
-  MultiTrace out;
-  const auto ingress = network_.topology.subnetOwner(packet.src);
-  if (!ingress) {
-    TraceResult result;
-    result.outcome = TraceOutcome::kNoIngress;
-    result.detail = "no subnet owns source " + packet.src.str();
-    out.paths.push_back(std::move(result));
-    return out;
-  }
-  TraceResult seed;
-  seed.destination_flapping = sim_.isFlapping(packet.dst);
-  explore(*ingress, packet, {}, std::move(seed), out, max_paths);
-  return out;
 }
 
 }  // namespace acr::dp

@@ -58,17 +58,6 @@ struct TraceResult {
   [[nodiscard]] std::string str() const;
 };
 
-/// Result of exploring every ECMP branch a packet could hash onto.
-struct MultiTrace {
-  std::vector<TraceResult> paths;
-  bool truncated = false;  // the branch cap was hit
-
-  /// The branch an intent check should be judged on: the first failing
-  /// branch if any (a flow could hash onto it), else the first path.
-  [[nodiscard]] const TraceResult& worst() const;
-  [[nodiscard]] bool allDelivered() const;
-};
-
 class DataPlane {
  public:
   DataPlane(const topo::Network& network, const route::SimResult& sim)
@@ -81,17 +70,7 @@ class DataPlane {
   [[nodiscard]] TraceResult traceFrom(const std::string& ingress,
                                       const net::FiveTuple& packet) const;
 
-  /// Explores every equal-cost branch (requires a simulation run with
-  /// SimOptions::enable_ecmp; without it, degrades to a single path).
-  /// At most `max_paths` branches are expanded.
-  [[nodiscard]] MultiTrace traceMultipath(const net::FiveTuple& packet,
-                                          int max_paths = 64) const;
-
  private:
-  void explore(const std::string& current, const net::FiveTuple& packet,
-               std::set<std::string> visited, TraceResult partial,
-               MultiTrace& out, int max_paths) const;
-
   const topo::Network& network_;
   const route::SimResult& sim_;
 };

@@ -51,8 +51,7 @@ struct DeltaTree::Impl {
   std::vector<std::pair<std::size_t, const detail::Flow*>> leaf_saved_slots;
 
   /// The one working state: the anchor fixpoint forked copy-on-write,
-  /// masked per options (derivation ids only with provenance, ECMP sets
-  /// only when requested).
+  /// masked per options (derivation ids only with provenance).
   SimResult view;
   std::uint64_t hash = 0;       // incremental state hash of view.rib
   std::uint64_t node_hash = 0;  // checkpoint at the base fixpoint
@@ -266,16 +265,19 @@ struct DeltaTree::Impl {
       }
     };
 
+    // A recompute that reproduces the stored entry's key state is a pure
+    // no-op: committing it would only clone a shared page and grow the undo
+    // log to restore an identical value. Only state changes become updates,
+    // which keeps leaf undo logs at the size of the *actual* diff —
+    // wholesale-seeded neighbors that settle on the routes they already had
+    // cost nothing to roll back.
     struct Update {
       int rid = 0;
       PrefixId pid = 0;
       RouteEntry entry;
       bool present = false;
-      bool state_change = false;
     };
     std::vector<Update> updates;
-    std::vector<EcmpSet> update_ecmp;
-    EcmpSet ecmp_scratch;
 
     const auto recomputePrefix = [&](int rid, PrefixId pid) {
       recomputed(pid);
@@ -296,17 +298,14 @@ struct DeltaTree::Impl {
         }
       }
       RouteEntry selected;
-      const bool present = board.select(rid, pid, better, options.enable_ecmp,
-                                        selected, ecmp_scratch);
+      const bool present = board.select(rid, pid, better, selected);
       const RouteEntry* old_entry = bests.entryAt(rid, pid);
       if (!present && old_entry == nullptr) return;
-      const bool changed = !present || old_entry == nullptr ||
-                           !sameEntryState(*old_entry, selected);
-      // Key-equal recomputes still reach the commit loop (their ECMP set
-      // may be fresher); they just don't propagate. The commit loop drops
-      // the ones that turn out fully identical.
-      updates.push_back(Update{rid, pid, selected, present, changed});
-      update_ecmp.push_back(ecmp_scratch);
+      if (present && old_entry != nullptr &&
+          sameEntryState(*old_entry, selected)) {
+        return;
+      }
+      updates.push_back(Update{rid, pid, selected, present});
     };
 
     const auto recomputeRouter = [&](int rid) {
@@ -334,13 +333,13 @@ struct DeltaTree::Impl {
       for (const PrefixId pid : board.touched(rid)) {
         recomputed(pid);
         RouteEntry selected;
-        const bool present = board.select(
-            rid, pid, better, options.enable_ecmp, selected, ecmp_scratch);
+        const bool present = board.select(rid, pid, better, selected);
         const RouteEntry* old_entry = bests.entryAt(rid, pid);
-        const bool changed = !present || old_entry == nullptr ||
-                             !sameEntryState(*old_entry, selected);
-        updates.push_back(Update{rid, pid, selected, present, changed});
-        update_ecmp.push_back(ecmp_scratch);
+        if (present && old_entry != nullptr &&
+            sameEntryState(*old_entry, selected)) {
+          continue;
+        }
+        updates.push_back(Update{rid, pid, selected, present});
       }
       const RibPage* own = bests.page(rid);
       if (own == nullptr) return;
@@ -348,20 +347,17 @@ struct DeltaTree::Impl {
         if (own->entries[pid].present == 0) continue;
         if (board.touchedThisRound(rid, pid)) continue;
         recomputed(pid);
-        updates.push_back(Update{rid, pid, RouteEntry{}, false, true});
-        update_ecmp.emplace_back();
+        updates.push_back(Update{rid, pid, RouteEntry{}, false});
       }
     };
 
     std::vector<std::pair<std::uint64_t, int>> hash_history{{hash, 0}};
     int round = 0;
     bool converged = false;
-    static const EcmpSet kNoEcmp;
 
     while (round < options.max_rounds) {
       ++round;
       updates.clear();
-      update_ecmp.clear();
       board.beginRound();
       if (round == 1) {
         for (const int rid : seeds) recomputeRouter(rid);
@@ -375,57 +371,23 @@ struct DeltaTree::Impl {
       }
 
       ++stamp;
-      bool any_state_change = false;
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        const Update& update = updates[i];
-        const RouteEntry* old_entry = bests.entryAt(update.rid, update.pid);
-        // A recompute that reproduced the stored entry's *effective* value
-        // (same key state and, when recording, the same ECMP set — masked
-        // derived state never shows) is a pure no-op: committing it would
-        // only clone a shared page and grow the undo log to restore an
-        // identical value. Skipping keeps leaf undo logs at the size of the
-        // *actual* diff — wholesale-seeded neighbors that settle on the
-        // routes they already had cost nothing to roll back.
-        if (!update.state_change && update.present && old_entry != nullptr) {
-          bool same_derived = true;
-          if (options.enable_ecmp) {
-            const EcmpSet* stored =
-                bests.showsEcmp() && old_entry->has_ecmp != 0
-                    ? bests.ecmpAt(update.rid, update.pid)
-                    : nullptr;
-            same_derived =
-                (stored != nullptr ? *stored : kNoEcmp) == update_ecmp[i];
-          }
-          if (same_derived) continue;
-        }
+      for (const Update& update : updates) {
         // First touch at this tree level: save the page pointer before the
         // write, so the level can be rolled back exactly.
         recordTouch(level, update.rid, update.pid);
-        if (update.state_change) {
-          any_state_change = true;
-          if (old_entry != nullptr) {
-            hash ^= entryStateHash(update.rid, update.pid, *old_entry);
-          }
-          if (update.present) {
-            hash ^= entryStateHash(update.rid, update.pid, update.entry);
-          }
-          for (const std::uint32_t flow_idx :
-               plan.out_flows[static_cast<std::size_t>(update.rid)]) {
-            addDirty(effective[flow_idx]->to_id, update.pid);
-          }
+        const RouteEntry* old_entry = bests.entryAt(update.rid, update.pid);
+        if (old_entry != nullptr) {
+          hash ^= entryStateHash(update.rid, update.pid, *old_entry);
         }
         if (update.present) {
-          RouteEntry to_store = update.entry;
-          // A derived-state refresh (ECMP set changed, key state not) keeps
-          // the stored derivation: the chain is unchanged, and the
-          // canonicalization pass only revisits state-changed cells.
-          if (options.record_provenance && !update.state_change &&
-              old_entry != nullptr) {
-            to_store.derivation = old_entry->derivation;
-          }
-          bests.set(update.rid, update.pid, to_store, &update_ecmp[i]);
+          hash ^= entryStateHash(update.rid, update.pid, update.entry);
+          bests.set(update.rid, update.pid, update.entry);
         } else {
           bests.erase(update.rid, update.pid);
+        }
+        for (const std::uint32_t flow_idx :
+             plan.out_flows[static_cast<std::size_t>(update.rid)]) {
+          addDirty(effective[flow_idx]->to_id, update.pid);
         }
       }
 
@@ -436,7 +398,7 @@ struct DeltaTree::Impl {
       }
       next_rids.clear();
 
-      if (!any_state_change) {
+      if (updates.empty()) {
         converged = true;
         break;
       }
@@ -533,13 +495,7 @@ struct DeltaTree::Impl {
         recordTouch(leaf_level, static_cast<int>(rid), pid);
         RouteEntry patched = *entry;
         patched.derivation = id;
-        EcmpSet ecmp_copy;
-        const EcmpSet* ecmp = view.rib.showsEcmp() && entry->has_ecmp != 0
-                                  ? view.rib.ecmpAt(static_cast<int>(rid), pid)
-                                  : nullptr;
-        if (ecmp != nullptr) ecmp_copy = *ecmp;
-        view.rib.set(static_cast<int>(rid), pid, patched,
-                     ecmp != nullptr ? &ecmp_copy : nullptr);
+        view.rib.set(static_cast<int>(rid), pid, patched);
       }
     }
     stats.fresh_derivations = rebuilder.freshCount();
@@ -680,38 +636,17 @@ DeltaTree::DeltaTree(const topo::Network& anchor_network,
     disable("baseline-not-converged");
     return;
   }
-  // An ECMP run seeded from an anchor that did not record equal-cost sets
-  // cannot patch them in locally. With recording on, every present BGP
-  // best of a matching anchor carries a non-empty effective set (it
-  // contains at least the winner).
-  if (options.enable_ecmp) {
-    const bool shows = anchor.rib.showsEcmp();
-    const std::size_t router_count = anchor.rib.tables()->routers.names.size();
-    for (std::size_t rid = 0; rid < router_count; ++rid) {
-      const RibPage* page = anchor.rib.page(static_cast<int>(rid));
-      if (page == nullptr) continue;
-      for (const RouteEntry& entry : page->entries) {
-        if (entry.present != 0 && entry.source == RouteSource::kBgp &&
-            !(shows && entry.has_ecmp != 0)) {
-          disable("ecmp-recording-mismatch");
-          return;
-        }
-      }
-    }
-  }
-
   // Working state: the anchor fixpoint forked copy-on-write onto cloned
   // tables — O(routers) page-pointer copies, pages cloned lazily at first
   // write. The cloned tables pin the anchor's ids (append-only growth for
   // any new prefixes an edit introduces), so anchor pages are valid
   // verbatim. With provenance on, derivation ids stay visible: they index
   // the anchor graph a leaf forks, so untouched entries reuse anchor
-  // derivations byte-for-byte. ECMP sets may be absent from the options —
-  // derived state, masked instead of scrubbed.
+  // derivations byte-for-byte.
   impl_->tables = std::make_shared<SimTables>(*anchor.rib.tables());
   impl_->view.rib = anchor.rib;
   impl_->view.rib.setTables(impl_->tables);
-  impl_->view.rib.scrubFor(options.record_provenance, options.enable_ecmp);
+  impl_->view.rib.scrubFor(options.record_provenance);
   impl_->view.converged = true;
   impl_->view.sessions = anchor.sessions;
   impl_->hash = impl_->view.rib.stateHash();

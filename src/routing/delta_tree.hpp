@@ -40,14 +40,14 @@
 // their post-change value. Whenever the premise is not airtight the leaf
 // runs the full engine instead — the fallback rules, scoped to the level
 // that violates them (docs/architecture.md §12): anchor-level violations
-// (provenance anchor missing, anchor not converged, ECMP recording
-// mismatch) disable the whole tree; base-level violations (topology shape
-// / device set / session state changed, oscillation, round cap) disable
-// the tree from setBase() on; a leaf-level violation (the same conditions,
-// plus provenance divergence) falls back to a full simulation for that
-// leaf only, without poisoning its siblings. `rounds` reflects only the
-// leaf's own propagation segment and `announcements` are not reproduced —
-// neither participates in the identity contract.
+// (provenance anchor missing, anchor not converged) disable the whole
+// tree; base-level violations (topology shape / device set / session state
+// changed, oscillation, round cap) disable the tree from setBase() on; a
+// leaf-level violation (the same conditions, plus provenance divergence)
+// falls back to a full simulation for that leaf only, without poisoning its
+// siblings. `rounds` reflects only the leaf's own propagation segment and
+// `announcements` are not reproduced — neither participates in the
+// identity contract.
 //
 // With `record_provenance` on, propagation itself records nothing; each
 // leaf then forks the anchor's canonical provenance graph copy-on-write

@@ -29,11 +29,6 @@ bool sameStateAcross(const SimTables* ta, const RouteEntry& ea,
          std::equal(pa.begin(), pa.end(), pb.begin());
 }
 
-const EcmpSet* findEcmp(const RibPage& p, PrefixId pid) {
-  const auto it = p.ecmp.find(pid);
-  return it == p.ecmp.end() ? nullptr : &it->second;
-}
-
 }  // namespace
 
 std::uint64_t entryStateHash(int rid, PrefixId pid, const RouteEntry& entry) {
@@ -105,8 +100,7 @@ std::optional<Route> Rib::routeOf(const std::string& router,
   if (pid == kNoId) return std::nullopt;
   const RouteEntry* entry = entryAt(rid, pid);
   if (entry == nullptr) return std::nullopt;
-  const RibPage* p = page(rid);
-  return materialize(pid, *entry, findEcmp(*p, pid));
+  return materialize(pid, *entry);
 }
 
 std::vector<std::pair<net::Prefix, PrefixId>> Rib::sortedCells(
@@ -139,8 +133,7 @@ std::vector<std::pair<net::Prefix, Route>> Rib::routesListOf(
   const auto cells = sortedCells(*p);
   out.reserve(cells.size());
   for (const auto& [prefix, pid] : cells) {
-    out.emplace_back(
-        prefix, materialize(pid, p->entries[pid], findEcmp(*p, pid)));
+    out.emplace_back(prefix, materialize(pid, p->entries[pid]));
   }
   return out;
 }
@@ -171,8 +164,7 @@ bool Rib::identicalTo(const Rib& other) const {
     const int orid = tb->routers.idOf(name);
     const RibPage* pa = page(rid);
     const RibPage* pb = other.page(orid);
-    if (ta == tb && pageRef(rid) == other.pageRef(orid) &&
-        show_ecmp_ == other.show_ecmp_) {
+    if (ta == tb && pageRef(rid) == other.pageRef(orid)) {
       continue;  // shared page, identical by construction
     }
     const auto ca = sortedCells(*pa);
@@ -180,23 +172,9 @@ bool Rib::identicalTo(const Rib& other) const {
     if (ca.size() != cb.size()) return false;
     for (std::size_t i = 0; i < ca.size(); ++i) {
       if (ca[i].first != cb[i].first) return false;
-      const RouteEntry& ea = pa->entries[ca[i].second];
-      const RouteEntry& eb = pb->entries[cb[i].second];
-      if (!sameStateAcross(ta, ea, tb, eb)) return false;
-      const EcmpSet* xa =
-          show_ecmp_ && ea.has_ecmp != 0 ? findEcmp(*pa, ca[i].second) : nullptr;
-      const EcmpSet* xb = other.show_ecmp_ && eb.has_ecmp != 0
-                              ? findEcmp(*pb, cb[i].second)
-                              : nullptr;
-      const std::size_t na = xa == nullptr ? 0 : xa->size();
-      const std::size_t nb = xb == nullptr ? 0 : xb->size();
-      if (na != nb) return false;
-      for (std::size_t k = 0; k < na; ++k) {
-        if ((*xa)[k].second != (*xb)[k].second ||
-            ta->routers.nameOf((*xa)[k].first) !=
-                tb->routers.nameOf((*xb)[k].first)) {
-          return false;
-        }
+      if (!sameStateAcross(ta, pa->entries[ca[i].second], tb,
+                           pb->entries[cb[i].second])) {
+        return false;
       }
     }
   }
@@ -262,11 +240,6 @@ void Rib::changedPrefixesInto(const Rib& old, std::set<net::Prefix>& out) const 
   }
 }
 
-const EcmpSet* Rib::ecmpAt(int rid, PrefixId pid) const {
-  const RibPage* p = page(rid);
-  return p == nullptr ? nullptr : findEcmp(*p, pid);
-}
-
 RibPage& Rib::mutablePage(int rid) {
   auto& slot = pages_[static_cast<std::size_t>(rid)];
   if (slot == nullptr) {
@@ -278,31 +251,21 @@ RibPage& Rib::mutablePage(int rid) {
   return *slot;
 }
 
-void Rib::set(int rid, PrefixId pid, const RouteEntry& entry,
-              const EcmpSet* ecmp) {
+void Rib::set(int rid, PrefixId pid, const RouteEntry& entry) {
   RibPage& p = mutablePage(rid);
   if (pid >= p.entries.size()) {
     p.entries.resize(static_cast<std::size_t>(pid) + 1);
   }
   RouteEntry& cell = p.entries[pid];
   if (cell.present == 0) ++p.live;
-  const bool had_ecmp = cell.present != 0 && cell.has_ecmp != 0;
   cell = entry;
   cell.present = 1;
-  cell.has_ecmp = ecmp != nullptr && !ecmp->empty() ? 1 : 0;
-  if (cell.has_ecmp != 0) {
-    p.ecmp[pid] = *ecmp;
-  } else if (had_ecmp) {
-    p.ecmp.erase(pid);
-  }
 }
 
 void Rib::erase(int rid, PrefixId pid) {
   if (entryAt(rid, pid) == nullptr) return;
   RibPage& p = mutablePage(rid);
-  RouteEntry& cell = p.entries[pid];
-  if (cell.has_ecmp != 0) p.ecmp.erase(pid);
-  cell = RouteEntry{};
+  p.entries[pid] = RouteEntry{};
   --p.live;
 }
 
@@ -341,8 +304,7 @@ std::uint64_t Rib::stateHash() const {
   return hash;
 }
 
-Route Rib::materialize(PrefixId pid, const RouteEntry& entry,
-                       const EcmpSet* ecmp) const {
+Route Rib::materialize(PrefixId pid, const RouteEntry& entry) const {
   Route r;
   r.prefix = tables_->prefixes.prefixOf(pid);
   r.source = entry.source;
@@ -356,12 +318,6 @@ Route Rib::materialize(PrefixId pid, const RouteEntry& entry,
   r.next_hop = net::Ipv4Address(entry.next_hop);
   r.derivation =
       show_derivations_ ? entry.derivation : prov::kNoDerivation;
-  if (show_ecmp_ && entry.has_ecmp != 0 && ecmp != nullptr) {
-    r.ecmp.reserve(ecmp->size());
-    for (const auto& [neighbor_id, next_hop] : *ecmp) {
-      r.ecmp.emplace_back(tables_->routers.nameOf(neighbor_id), next_hop);
-    }
-  }
   return r;
 }
 

@@ -9,9 +9,7 @@
 //     (router, prefix) cell. Names, prefixes and AS paths are dense
 //     interned ids (routing/intern.hpp); the decision process, convergence
 //     compare and RIB hashing read POD fields only.
-//   * `RibPage` — one router's flat entry array indexed by PrefixId, plus
-//     an ECMP side-table (equal-cost sets exist only when recording is on
-//     and only for a few entries, so they stay out of the packed record).
+//   * `RibPage` — one router's flat entry array indexed by PrefixId.
 //   * `Rib` — the per-router page set behind `shared_ptr` copy-on-write:
 //     copying a Rib is O(routers) pointer copies, and the delta tree
 //     forks candidate states by saving/restoring page pointers instead of
@@ -23,11 +21,10 @@
 // external results stay byte-identical to the old representation while the
 // round loops never touch a string.
 //
-// Masking flags replace the O(entries) scrub walks the incremental engines
-// used to pay when seeding from a baseline: derivation ids and ECMP sets
-// are *derived* state, so a Rib can carry stale physical values and simply
-// stop showing them (`scrubFor`) — readers consult the flags at
-// materialization time.
+// A masking flag replaces the O(entries) scrub walk the incremental engines
+// used to pay when seeding from a baseline: derivation ids are *derived*
+// state, so a Rib can carry stale physical values and simply stop showing
+// them (`scrubFor`) — readers consult the flag at materialization time.
 #pragma once
 
 #include <algorithm>
@@ -62,18 +59,17 @@ struct RouteEntry {
   prov::DerivationId derivation = prov::kNoDerivation;
   RouteSource source = RouteSource::kBgp;
   std::uint8_t present = 0;
-  std::uint8_t has_ecmp = 0;
-  std::uint8_t pad = 0;
+  std::uint8_t pad[2] = {};
 };
 static_assert(std::is_trivially_copyable_v<RouteEntry>);
 static_assert(sizeof(RouteEntry) == 32, "RouteEntry must stay one packed "
                                         "32-byte record");
 
 /// Identity under the convergence semantics — the packed equivalent of the
-/// old `Route::key()` compare (prefix identity is the cell address; ecmp
-/// and derivation are derived state, excluded exactly as key() excluded
-/// them). Only meaningful between entries sharing one SimTables lineage:
-/// ids compare as values.
+/// old `Route::key()` compare (prefix identity is the cell address; the
+/// derivation is derived state, excluded exactly as key() excluded it).
+/// Only meaningful between entries sharing one SimTables lineage: ids
+/// compare as values.
 [[nodiscard]] inline bool sameEntryState(const RouteEntry& a,
                                          const RouteEntry& b) {
   return a.present == b.present && a.source == b.source &&
@@ -83,17 +79,12 @@ static_assert(sizeof(RouteEntry) == 32, "RouteEntry must stay one packed "
          a.as_path_id == b.as_path_id;
 }
 
-/// Equal-cost set of one BGP entry: (advertising neighbor id, next hop),
-/// stored pre-sorted in materialization order (neighbor name, next hop).
-using EcmpSet = std::vector<std::pair<std::int32_t, net::Ipv4Address>>;
-
 /// One router's RIB as a flat array indexed by PrefixId. `entries` may be
 /// shorter than the prefix table when the universe grew after the page was
 /// written — out-of-range ids are simply absent.
 struct RibPage {
   std::vector<RouteEntry> entries;
   std::uint32_t live = 0;  // number of present entries
-  std::map<PrefixId, EcmpSet> ecmp;
 };
 
 using RibPagePtr = std::shared_ptr<RibPage>;
@@ -133,14 +124,14 @@ class Rib {
   /// Bytes held by page entry arrays (sim.layout metrics).
   [[nodiscard]] std::size_t pageBytes() const;
 
-  /// Identity under the convergence semantics plus effective ECMP sets —
-  /// what comparing every `Route::key()` and ecmp list used to check.
+  /// Identity under the convergence semantics — what comparing every
+  /// `Route::key()` used to check.
   /// Works across Ribs with unrelated tables (compares by name/content).
   [[nodiscard]] bool identicalTo(const Rib& other) const;
 
   /// Inserts every prefix whose best route differs between `this` and
-  /// `old` on any router of `this` (state compare, ECMP excluded — the old
-  /// key()-based diff). Shared pages are skipped wholesale.
+  /// `old` on any router of `this` (state compare — the old key()-based
+  /// diff). Shared pages are skipped wholesale.
   void changedPrefixesInto(const Rib& old, std::set<net::Prefix>& out) const;
 
   // ---- engine API (id-addressed, allocation-free reads) ----------------
@@ -158,10 +149,8 @@ class Rib {
     const RouteEntry& e = p->entries[pid];
     return e.present != 0 ? &e : nullptr;
   }
-  [[nodiscard]] const EcmpSet* ecmpAt(int rid, PrefixId pid) const;
   /// Writes one entry (clone-on-first-write when the page is shared).
-  /// `ecmp` may be null (no equal-cost set for this entry).
-  void set(int rid, PrefixId pid, const RouteEntry& entry, const EcmpSet* ecmp);
+  void set(int rid, PrefixId pid, const RouteEntry& entry);
   /// Removes one entry (no-op when absent).
   void erase(int rid, PrefixId pid);
   /// Replaces a router's page wholesale (full-engine result adoption).
@@ -180,20 +169,14 @@ class Rib {
   /// XOR-combined entryStateHash over all present entries.
   [[nodiscard]] std::uint64_t stateHash() const;
 
-  // ---- derived-state masks ---------------------------------------------
-  /// Marks derivations and/or ECMP sets stale: readers materialize
-  /// kNoDerivation / empty sets instead. O(1) — replaces the old scrub
-  /// walks over every entry.
-  void scrubFor(bool show_derivations, bool show_ecmp) {
-    show_derivations_ = show_derivations;
-    show_ecmp_ = show_ecmp;
-  }
-  [[nodiscard]] bool showsEcmp() const { return show_ecmp_; }
+  // ---- derived-state mask ----------------------------------------------
+  /// Marks derivations stale: readers materialize kNoDerivation instead.
+  /// O(1) — replaces the old scrub walk over every entry.
+  void scrubFor(bool show_derivations) { show_derivations_ = show_derivations; }
   [[nodiscard]] bool showsDerivations() const { return show_derivations_; }
 
-  /// Materializes one entry as the boundary `Route` (masks applied).
-  [[nodiscard]] Route materialize(PrefixId pid, const RouteEntry& entry,
-                                  const EcmpSet* ecmp) const;
+  /// Materializes one entry as the boundary `Route` (mask applied).
+  [[nodiscard]] Route materialize(PrefixId pid, const RouteEntry& entry) const;
 
  private:
   RibPage& mutablePage(int rid);
@@ -206,7 +189,6 @@ class Rib {
   std::vector<RibPagePtr> pages_;  // indexed by rid; null = no page
   std::size_t page_count_ = 0;
   bool show_derivations_ = true;
-  bool show_ecmp_ = true;
 };
 
 }  // namespace acr::route

@@ -51,7 +51,6 @@ std::vector<Rival> collectRivals(const topo::Network& network,
     rival.neighbor = neighbor;
     Route announced = *their_route;
     announced.source = RouteSource::kBgp;
-    announced.ecmp.clear();
 
     // Export policy at the supplier.
     const cfg::PeerConfig* their_peer = supplier->bgp->findPeer(own_address);

@@ -32,16 +32,12 @@ struct Route {
   /// Dense id of `learned_from` in the simulating topology's router table
   /// (0 = locally originated). Lets the decision process read the
   /// advertising neighbor's router-id from a flat array instead of a map.
-  /// Derived state like `ecmp`: excluded from key().
+  /// Derived from `learned_from`, so excluded from key().
   std::int32_t learned_from_id = 0;
   /// BGP: the neighbor's peering address. Static: the configured next hop.
   /// Connected: 0.
   net::Ipv4Address next_hop;
   prov::DerivationId derivation = prov::kNoDerivation;
-  /// Equal-cost alternatives (neighbor name, next hop), including the
-  /// selected one — populated only when SimOptions::enable_ecmp is set.
-  /// Deliberately excluded from key(): the ECMP set is derived state.
-  std::vector<std::pair<std::string, net::Ipv4Address>> ecmp;
 
   /// Debug rendering of the route's identity fields (excludes the
   /// derivation id, which differs every round by construction). The

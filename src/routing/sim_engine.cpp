@@ -96,8 +96,7 @@ void CandidateBoard::beginRound() {
 }
 
 bool CandidateBoard::select(int rid, PrefixId pid, const EntryBetter& better,
-                            bool enable_ecmp, RouteEntry& out,
-                            EcmpSet& ecmp_out) const {
+                            RouteEntry& out) const {
   const Row& row = rows_[static_cast<std::size_t>(rid)];
   const std::size_t base = static_cast<std::size_t>(pid) * row.slots;
   const RouteEntry* best = nullptr;
@@ -106,34 +105,9 @@ bool CandidateBoard::select(int rid, PrefixId pid, const EntryBetter& better,
     const RouteEntry& candidate = row.cells[base + s];
     if (best == nullptr || better(candidate, *best)) best = &candidate;
   }
-  ecmp_out.clear();
   if (best == nullptr) return false;
   out = *best;
   out.present = 1;
-  out.has_ecmp = 0;
-  if (enable_ecmp && out.source == RouteSource::kBgp) {
-    for (std::uint16_t s = 0; s < row.slots; ++s) {
-      if (row.cell_epoch[base + s] != epoch_) continue;
-      const RouteEntry& candidate = row.cells[base + s];
-      if (candidate.source == RouteSource::kBgp &&
-          equalCostEntries(candidate, *best)) {
-        ecmp_out.emplace_back(candidate.learned_from_id,
-                              net::Ipv4Address(candidate.next_hop));
-      }
-    }
-    // Materialization order: (neighbor name, next hop) — the sort order of
-    // the old (string, address) pairs.
-    const RouterTable& table = *better.table;
-    std::sort(ecmp_out.begin(), ecmp_out.end(),
-              [&table](const std::pair<std::int32_t, net::Ipv4Address>& a,
-                       const std::pair<std::int32_t, net::Ipv4Address>& b) {
-                const std::string& na = table.nameOf(a.first);
-                const std::string& nb = table.nameOf(b.first);
-                if (na != nb) return na < nb;
-                return a.second < b.second;
-              });
-    if (!ecmp_out.empty()) out.has_ecmp = 1;
-  }
   return true;
 }
 
@@ -160,7 +134,6 @@ bool announceEntryOnFlow(const Flow& flow, PrefixId pid,
   const bool record = provenance != nullptr;
   RouteEntry announced = entry;
   announced.source = RouteSource::kBgp;
-  announced.has_ecmp = 0;  // derived state, never advertised
   std::vector<cfg::LineId> lines;
   if (record) {
     lines = flow.session_lines;
@@ -361,7 +334,6 @@ bool ProvenanceRebuilder::canonicalize(int rid, PrefixId pid,
 
 void FullEngine::sizeState(State& state) const {
   state.pages.assign(tables_->routers.names.size(), {});
-  state.ecmp.assign(tables_->routers.names.size(), {});
   for (const int rid : config_rids_) {
     state.pages[static_cast<std::size_t>(rid)].assign(universe_, RouteEntry{});
   }
@@ -412,17 +384,10 @@ void FullEngine::prime() {
 void FullEngine::selectRoundInto(State& dst) {
   for (const int rid : config_rids_) {
     auto& page = dst.pages[static_cast<std::size_t>(rid)];
-    auto& ecmp = dst.ecmp[static_cast<std::size_t>(rid)];
     page.assign(universe_, RouteEntry{});
-    ecmp.clear();
     for (const PrefixId pid : board_.touched(rid)) {
       RouteEntry selected;
-      if (!board_.select(rid, pid, better_, options_.enable_ecmp, selected,
-                         ecmp_scratch_)) {
-        continue;
-      }
-      page[pid] = selected;
-      if (!ecmp_scratch_.empty()) ecmp[pid] = ecmp_scratch_;
+      if (board_.select(rid, pid, better_, selected)) page[pid] = selected;
     }
   }
 }
@@ -500,7 +465,6 @@ void FullEngine::adoptRib(State&& state) {
     for (const RouteEntry& entry : page.entries) {
       if (entry.present != 0) ++page.live;
     }
-    page.ecmp = std::move(state.ecmp[static_cast<std::size_t>(rid)]);
     rib.installPage(rid, std::move(page));
   }
   result_.rib = std::move(rib);

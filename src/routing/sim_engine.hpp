@@ -109,14 +109,6 @@ struct EntryBetter {
   }
 };
 
-/// Entries tie for ECMP when everything ahead of the router-id tiebreak is
-/// equal.
-[[nodiscard]] inline bool equalCostEntries(const RouteEntry& a,
-                                           const RouteEntry& b) {
-  return a.source == b.source && a.local_pref == b.local_pref &&
-         a.as_path_len == b.as_path_len && a.med == b.med;
-}
-
 /// Epoch-stamped candidate cells of every router: row = `universe x slots`
 /// RouteEntry cells per rid. A cell is live this round iff its epoch stamp
 /// matches the board's; `touched(rid)` lists the prefixes that received at
@@ -154,12 +146,10 @@ class CandidateBoard {
     return rows_[static_cast<std::size_t>(rid)].touched_epoch[pid] == epoch_;
   }
 
-  /// Best candidate of one cell (false when none are staged this round).
-  /// `out.present` is set; when `enable_ecmp` and the winner is BGP,
-  /// `ecmp_out` receives the equal-cost set sorted by (neighbor name, next
-  /// hop) and `out.has_ecmp` reflects it. `ecmp_out` is cleared either way.
+  /// Best candidate of one cell (false when none are staged this round);
+  /// `out.present` is set.
   bool select(int rid, PrefixId pid, const EntryBetter& better,
-              bool enable_ecmp, RouteEntry& out, EcmpSet& ecmp_out) const;
+              RouteEntry& out) const;
 
  private:
   struct Row {
@@ -260,10 +250,9 @@ class FullEngine {
   [[nodiscard]] SimResult run();
 
   // -- white-box stepping (allocation regression test) --------------------
-  /// One router's per-round state: flat entry array by pid + ECMP side map.
+  /// Per-round state: one flat entry array by pid per router.
   struct State {
     std::vector<std::vector<RouteEntry>> pages;  // by rid
-    std::vector<std::map<PrefixId, EcmpSet>> ecmp;
   };
 
   /// Seeds tables, flows, locals and the round-0 (locals-only) state.
@@ -271,7 +260,7 @@ class FullEngine {
   enum class StepOutcome { kAdvanced, kConverged, kOscillating };
   /// Advances one synchronous round from the current state. At a fixpoint
   /// this recomputes the round and reports kConverged without mutating
-  /// anything — and, with provenance and ECMP off and memos warm, without
+  /// anything — and, with provenance off and memos warm, without
   /// allocating.
   StepOutcome step();
 
@@ -303,7 +292,6 @@ class FullEngine {
   std::size_t universe_ = 0;
 
   State cur_, nxt_, prev_;
-  EcmpSet ecmp_scratch_;
   std::vector<std::pair<std::uint64_t, int>> hash_history_;
   std::uint64_t last_hash_ = 0;
   int repeated_round_ = 0;  // set when step() returns kOscillating

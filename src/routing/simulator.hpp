@@ -49,9 +49,6 @@ struct Session {
 struct SimOptions {
   int max_rounds = 64;
   bool record_provenance = true;
-  /// Record equal-cost alternatives (same admin distance, local-pref,
-  /// AS-path length and MED as the winner) into Route::ecmp.
-  bool enable_ecmp = false;
 };
 
 struct SimResult {

@@ -83,11 +83,7 @@ std::vector<TestResult> Verifier::runTests(
   for (const TestCase& test : tests) {
     TestResult result;
     result.test = test;
-    if (multipath_) {
-      result.trace = dataplane.traceMultipath(test.packet).worst();
-    } else {
-      result.trace = dataplane.trace(test.packet);
-    }
+    result.trace = dataplane.trace(test.packet);
     result.passed = judgeTest(intents_[static_cast<std::size_t>(
                                   test.intent_index)],
                               result.trace, &result.reason);

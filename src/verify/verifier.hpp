@@ -34,15 +34,9 @@ struct VerifyResult {
 
 class Verifier {
  public:
-  /// `multipath` judges every intent on all ECMP branches (the worst branch
-  /// decides) instead of the single selected path; it forces
-  /// SimOptions::enable_ecmp for simulations this verifier runs itself.
   explicit Verifier(std::vector<Intent> intents,
-                    route::SimOptions sim_options = {}, bool multipath = false)
-      : intents_(std::move(intents)), sim_options_(sim_options),
-        multipath_(multipath) {
-    if (multipath_) sim_options_.enable_ecmp = true;
-  }
+                    route::SimOptions sim_options = {})
+      : intents_(std::move(intents)), sim_options_(sim_options) {}
 
   [[nodiscard]] const std::vector<Intent>& intents() const { return intents_; }
 
@@ -63,7 +57,6 @@ class Verifier {
  private:
   std::vector<Intent> intents_;
   route::SimOptions sim_options_;
-  bool multipath_ = false;
 };
 
 }  // namespace acr::verify

@@ -134,10 +134,8 @@ TEST(NegativeProvenance, SharpensLocalizationForDenyFaults) {
   tor->bgp->peers[0].import_policy = "MAINT";
   broken.renumberAll();
   const route::SimResult sim = simulate(broken);
-  const verify::Verifier verifier(scenario.intents,
-                                  {.max_rounds = 64,
-                                   .record_provenance = true,
-                                   .enable_ecmp = false});
+  const verify::Verifier verifier(
+      scenario.intents, {.max_rounds = 64, .record_provenance = true});
   const auto results = verifier.runTests(
       broken, sim, verify::generateTests(scenario.intents, 1));
   sbfl::Spectrum spectrum;

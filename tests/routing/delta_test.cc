@@ -39,8 +39,8 @@ std::vector<std::string> devicesOf(const std::vector<cfg::ConfigDiff>& diffs) {
 }
 
 /// Field-level equality of two simulation results — stricter than
-/// Route::key(): it also checks the derived state (ECMP sets, derivation
-/// ids) and the session table.
+/// Route::key(): it also checks the derived state (derivation and
+/// learned-from ids) and the session table.
 void expectSimEqual(const SimResult& actual, const SimResult& expected) {
   EXPECT_EQ(actual.converged, expected.converged);
   EXPECT_EQ(actual.flapping, expected.flapping);
@@ -66,8 +66,6 @@ void expectSimEqual(const SimResult& actual, const SimResult& expected) {
       ASSERT_EQ(entry_it->first, prefix) << "router " << router;
       const Route& actual_route = entry_it->second;
       EXPECT_EQ(actual_route.key(), route.key())
-          << "router " << router << " prefix " << prefix.str();
-      EXPECT_EQ(actual_route.ecmp, route.ecmp)
           << "router " << router << " prefix " << prefix.str();
       EXPECT_EQ(actual_route.derivation, route.derivation)
           << "router " << router << " prefix " << prefix.str();
@@ -276,25 +274,6 @@ TEST(Delta, NoChangeConvergesInOneRound) {
   expectSimEqual(incremental, baseline);
 }
 
-TEST(Delta, EquivalentUnderEcmp) {
-  acr::Scenario scenario = acr::dcnScenario(2, 2);
-  SimOptions options = deltaOptions();
-  options.enable_ecmp = true;
-  const SimResult baseline = Simulator(scenario.network()).run(options);
-  ASSERT_TRUE(baseline.converged);
-
-  topo::Network edited = scenario.network();
-  edited.config("core1")->bgp->redistributes.clear();
-  edited.renumberAll();
-
-  TreeLeafStats stats;
-  const SimResult incremental =
-      DeltaTree(scenario.network(), baseline, options)
-          .run(edited, {"core1"}, &stats);
-  EXPECT_TRUE(stats.used_delta) << stats.fallback_reason;
-  expectSimEqual(incremental, Simulator(edited).run(options));
-}
-
 // ---------------------------------------------------------------------------
 // Fallback rules.
 // ---------------------------------------------------------------------------
@@ -464,22 +443,6 @@ TEST(DeltaFallback, NonConvergedBaselineFallsBack) {
   EXPECT_FALSE(stats.used_delta);
   EXPECT_EQ(stats.fallback_reason, "baseline-not-converged");
   expectSimEqual(incremental, baseline);
-}
-
-TEST(DeltaFallback, EcmpRecordingMismatchFallsBack) {
-  acr::Scenario scenario = acr::dcnScenario(2, 2);
-  const SimResult baseline =
-      Simulator(scenario.network()).run(deltaOptions());  // no ECMP recorded
-
-  SimOptions ecmp_options = deltaOptions();
-  ecmp_options.enable_ecmp = true;
-  TreeLeafStats stats;
-  const SimResult incremental =
-      DeltaTree(scenario.network(), baseline, ecmp_options)
-          .run(scenario.network(), {}, &stats);
-  EXPECT_FALSE(stats.used_delta);
-  EXPECT_EQ(stats.fallback_reason, "ecmp-recording-mismatch");
-  expectSimEqual(incremental, Simulator(scenario.network()).run(ecmp_options));
 }
 
 TEST(DeltaFallback, OscillationFallsBackAndMatches) {

@@ -66,8 +66,6 @@ void expectSimEqual(const SimResult& actual, const SimResult& expected) {
       ASSERT_EQ(entry_it->first, prefix) << "router " << router;
       EXPECT_EQ(entry_it->second.key(), route.key())
           << "router " << router << " prefix " << prefix.str();
-      EXPECT_EQ(entry_it->second.ecmp, route.ecmp)
-          << "router " << router << " prefix " << prefix.str();
       ++entry_it;
     }
   }

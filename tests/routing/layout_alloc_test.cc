@@ -44,7 +44,6 @@ TEST(LayoutAllocation, SteadyStateRoundAllocatesNothing) {
   const topo::BuiltNetwork built = topo::buildDcn(8, 8);
   SimOptions options;
   options.record_provenance = false;
-  options.enable_ecmp = false;
 
   detail::FullEngine engine(built.network, options);
   engine.prime();

@@ -1,4 +1,4 @@
-// Command-line helpers shared by acrctl and acrd.
+// Command-line helpers shared by acrctl, acrd and the timed benches.
 #pragma once
 
 #include <charconv>
