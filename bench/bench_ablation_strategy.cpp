@@ -9,9 +9,21 @@
 #include "bench/util.hpp"
 #include "core/acr.hpp"
 
+namespace acr::cli {
+
+void usage(const char* why) {
+  if (why != nullptr) std::fprintf(stderr, "bench_ablation_strategy: %s\n", why);
+  std::fputs("usage: bench_ablation_strategy [incidents] [seed]\n", stderr);
+  std::exit(2);
+}
+
+}  // namespace acr::cli
+
 int main(int argc, char** argv) {
-  const int incidents = argc > 1 ? std::atoi(argv[1]) : 40;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3;
+  const int incidents =
+      acr::bench::positional(argc, argv, 1, "incidents", 40, 1);
+  const auto seed =
+      acr::bench::positional<std::uint64_t>(argc, argv, 2, "seed", 3);
 
   std::printf("generation-strategy ablation over %d incidents (seed %llu)\n",
               incidents, static_cast<unsigned long long>(seed));

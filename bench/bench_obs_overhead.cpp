@@ -69,12 +69,24 @@ double spanNs(bool tracing) {
 
 }  // namespace
 
+namespace acr::cli {
+
+void usage(const char* why) {
+  if (why != nullptr) std::fprintf(stderr, "bench_obs_overhead: %s\n", why);
+  std::fputs("usage: bench_obs_overhead [incidents] [seed] [samples]\n", stderr);
+  std::exit(2);
+}
+
+}  // namespace acr::cli
+
 int main(int argc, char** argv) {
   acr::CampaignOptions options;
-  options.incidents = argc > 1 ? std::atoi(argv[1]) : 40;
-  options.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  options.incidents =
+      acr::bench::positional(argc, argv, 1, "incidents", 40, 1);
+  options.seed =
+      acr::bench::positional<std::uint64_t>(argc, argv, 2, "seed", 42);
   options.jobs = 1;
-  const int samples = argc > 3 ? std::atoi(argv[3]) : 5;
+  const int samples = acr::bench::positional(argc, argv, 3, "samples", 5, 1);
 
   std::printf("obs overhead: campaign incidents=%d seed=%llu jobs=1, "
               "%d sample(s), median reported\n",

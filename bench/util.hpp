@@ -5,7 +5,23 @@
 #include <string>
 #include <vector>
 
+#include "tools/cli.hpp"
+
 namespace acr::bench {
+
+/// Positional argument `index` parsed as a T, or `fallback` when it is
+/// absent. A malformed value, or one below `least`, is a usage error
+/// naming `name` (exit 2). The bench defines acr::cli::usage.
+template <typename T>
+T positional(int argc, char** argv, int index, const std::string& name,
+             T fallback, T least = T{}) {
+  if (index >= argc) return fallback;
+  const T value = cli::parseNumber<T>(argv[index], name);
+  if (value < least) {
+    cli::usage((name + " must be at least " + std::to_string(least)).c_str());
+  }
+  return value;
+}
 
 /// Fixed-width text table, printed as the harness accumulates rows.
 class Table {

@@ -25,7 +25,10 @@ Checks:
   * the backticked rule names of the fallback-rule table in
     docs/architecture.md and the reason literals of
     src/routing/delta_tree.cpp name the same set — a deleted rule must
-    leave the table, and a new one must enter it.
+    leave the table, and a new one must enter it;
+  * the op table of docs/service.md and the ops RepairService dispatches
+    (the `verb == "..."` literals of src/service/server.cpp) name the same
+    set — the same rule for the wire protocol.
 
 External links (http/https/mailto) and pure in-page anchors are skipped.
 Exits 0 when everything resolves, 1 otherwise. Stdlib only: CI containers
@@ -50,6 +53,9 @@ BENCH_REF = re.compile(r"(?<![\w.])(bench_\w+)")
 # A fallback reason in delta_tree.cpp: every kebab-case string literal.
 REASON_LITERAL = re.compile(r'"([a-z]+(?:-[a-z]+)+)"')
 FALLBACK_TABLE_ANCHOR = "**Fallback rules.**"
+# An op RepairService dispatches: `verb == "submit"` in server.cpp.
+OP_LITERAL = re.compile(r'verb == "(\w+)"')
+OP_TABLE_ANCHOR = "| op |"
 
 
 def markdown_files(root):
@@ -182,36 +188,51 @@ def check_sim_options(root):
                        "src/routing/simulator.hpp")
 
 
-def documented_fallback_rules(root):
-    """Backticked names in the first cell of each fallback-table row."""
-    with open(os.path.join(root, "docs", "architecture.md"), "r",
-              encoding="utf-8") as handle:
+def table_names(root, relpath, anchor):
+    """Backticked names in the first cell of each row of the first table
+    that starts at or after the first line beginning with `anchor`."""
+    with open(os.path.join(root, relpath), "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith(FALLBACK_TABLE_ANCHOR))
+    start = next(i for i, line in enumerate(lines) if line.startswith(anchor))
     rows = []
-    for line in lines[start + 1:]:
+    for line in lines[start:]:
         if line.startswith("|"):
             rows.append(line)
         elif rows:
             break  # the end of the table
-    rules = set()
+    names = set()
     for row in rows[2:]:  # skip the header and its separator
-        rules.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
-    return rules
+        names.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    return names
 
 
 def check_fallback_rules(root):
     with open(os.path.join(root, "src", "routing", "delta_tree.cpp"), "r",
               encoding="utf-8") as handle:
         reasons = set(REASON_LITERAL.findall(handle.read()))
-    documented = documented_fallback_rules(root)
+    documented = table_names(root, os.path.join("docs", "architecture.md"),
+                             FALLBACK_TABLE_ANCHOR)
     errors = ["docs/architecture.md: fallback rule `%s` is not a reason in "
               "src/routing/delta_tree.cpp" % rule
               for rule in sorted(documented - reasons)]
     errors += ["src/routing/delta_tree.cpp: reason \"%s\" has no row in the "
                "fallback-rule table of docs/architecture.md" % reason
                for reason in sorted(reasons - documented)]
+    return errors
+
+
+def check_service_ops(root):
+    with open(os.path.join(root, "src", "service", "server.cpp"), "r",
+              encoding="utf-8") as handle:
+        ops = set(OP_LITERAL.findall(handle.read()))
+    documented = table_names(root, os.path.join("docs", "service.md"),
+                             OP_TABLE_ANCHOR)
+    errors = ["docs/service.md: op `%s` is not dispatched by "
+              "src/service/server.cpp" % op
+              for op in sorted(documented - ops)]
+    errors += ["src/service/server.cpp: op \"%s\" has no row in the op "
+               "table of docs/service.md" % op
+               for op in sorted(ops - documented)]
     return errors
 
 
@@ -226,13 +247,15 @@ def main(argv):
     errors = (check_links(root) + check_bench_coverage(root)
               + check_artifact_coverage(root) + check_artifact_pairing(root)
               + check_repair_options(root) + check_sim_options(root)
-              + check_bench_refs(root) + check_fallback_rules(root))
+              + check_bench_refs(root) + check_fallback_rules(root)
+              + check_service_ops(root))
     for error in errors:
         sys.stderr.write("check_docs: %s\n" % error)
     if not errors:
         print("check_docs: OK (%d markdown files, links + bench + "
               "artifact coverage + artifact pairing + RepairOptions and "
-              "SimOptions fields + bench names + fallback rules)"
+              "SimOptions fields + bench names + fallback rules + "
+              "service ops)"
               % len(markdown_files(root)))
     return 1 if errors else 0
 

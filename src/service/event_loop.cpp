@@ -27,11 +27,11 @@ int throwOnError(int fd, const char* what) {
 
 }  // namespace
 
-EventLoop::CompletionQueue::~CompletionQueue() {
+TcpServer::CompletionQueue::~CompletionQueue() {
   if (wake_fd >= 0) ::close(wake_fd);
 }
 
-void EventLoop::CompletionQueue::post(std::uint64_t connection_id,
+void TcpServer::CompletionQueue::post(std::uint64_t connection_id,
                                       std::string&& response) {
   {
     const std::lock_guard<std::mutex> lock(mutex);
@@ -44,11 +44,10 @@ void EventLoop::CompletionQueue::post(std::uint64_t connection_id,
   [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof one);
 }
 
-EventLoop::EventLoop(RepairService& service, const EventLoopOptions& options)
+TcpServer::TcpServer(RepairService& service, const TcpServerOptions& options)
     : service_(service),
       options_(options),
-      metrics_(options.metrics != nullptr ? *options.metrics
-                                          : util::MetricsRegistry::global()),
+      metrics_(service.metrics()),
       completions_(std::make_shared<CompletionQueue>()) {
   completions_->wake_fd =
       throwOnError(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC), "eventfd");
@@ -87,7 +86,7 @@ EventLoop::EventLoop(RepairService& service, const EventLoopOptions& options)
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, completions_->wake_fd, &event);
 }
 
-EventLoop::~EventLoop() {
+TcpServer::~TcpServer() {
   for (const auto& [fd, connection] : by_fd_) {
     ::close(fd);
     metrics_.gauge("service.connections.open").sub(1);
@@ -98,7 +97,7 @@ EventLoop::~EventLoop() {
   // which may be a still-parked scheduler callback, not us.
 }
 
-bool EventLoop::stopRequested() const {
+bool TcpServer::stopRequested() const {
   if (stopping_.load(std::memory_order_relaxed)) return true;
   if (options_.stop != nullptr &&
       options_.stop->load(std::memory_order_relaxed)) {
@@ -107,14 +106,14 @@ bool EventLoop::stopRequested() const {
   return service_.shutdownRequested();
 }
 
-void EventLoop::stop() {
+void TcpServer::stop() {
   stopping_.store(true, std::memory_order_relaxed);
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
       ::write(completions_->wake_fd, &one, sizeof one);
 }
 
-void EventLoop::serve() {
+void TcpServer::serve() {
   loop_thread_ = std::this_thread::get_id();
   bool draining = false;
   std::vector<int> idle;
@@ -174,7 +173,7 @@ void EventLoop::serve() {
   }
 }
 
-void EventLoop::acceptReady() {
+void TcpServer::acceptReady() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -203,7 +202,7 @@ void EventLoop::acceptReady() {
   }
 }
 
-void EventLoop::readReady(Connection& connection) {
+void TcpServer::readReady(Connection& connection) {
   const std::uint64_t id = connection.id;
   char chunk[65536];
   for (;;) {
@@ -224,7 +223,7 @@ void EventLoop::readReady(Connection& connection) {
   resume(id);
 }
 
-void EventLoop::processLines(Connection& connection) {
+void TcpServer::processLines(Connection& connection) {
   // Same framing as the threaded server: split on '\n' exactly — no \r
   // handling, no empty-line skipping (an empty line is a malformed-JSON
   // request and earns that error response).
@@ -246,7 +245,7 @@ void EventLoop::processLines(Connection& connection) {
   }
 }
 
-void EventLoop::rejectOversizedLine(Connection& connection) {
+void TcpServer::rejectOversizedLine(Connection& connection) {
   Json response;
   response.set("ok", false);
   response.set("error", "request line exceeds " +
@@ -259,7 +258,7 @@ void EventLoop::rejectOversizedLine(Connection& connection) {
   metrics_.counter("service.connections.dropped").add(1);
 }
 
-void EventLoop::dispatchLine(Connection& connection, const std::string& line) {
+void TcpServer::dispatchLine(Connection& connection, const std::string& line) {
   connection.waiting = true;
   const std::uint64_t previous = dispatching_;
   dispatching_ = connection.id;
@@ -278,7 +277,7 @@ void EventLoop::dispatchLine(Connection& connection, const std::string& line) {
   dispatching_ = previous;
 }
 
-void EventLoop::deliver(std::uint64_t connection_id, std::string&& response) {
+void TcpServer::deliver(std::uint64_t connection_id, std::string&& response) {
   const auto it = fd_by_id_.find(connection_id);
   if (it == fd_by_id_.end()) return;  // connection died while the job ran
   Connection& connection = by_fd_.at(it->second);
@@ -292,7 +291,7 @@ void EventLoop::deliver(std::uint64_t connection_id, std::string&& response) {
   if (connection_id != dispatching_) resume(connection_id);
 }
 
-void EventLoop::resume(std::uint64_t connection_id) {
+void TcpServer::resume(std::uint64_t connection_id) {
   const auto it = fd_by_id_.find(connection_id);
   if (it == fd_by_id_.end()) return;
   const int fd = it->second;
@@ -306,7 +305,7 @@ void EventLoop::resume(std::uint64_t connection_id) {
   }
 }
 
-void EventLoop::drainCompletions() {
+void TcpServer::drainCompletions() {
   std::vector<std::pair<std::uint64_t, std::string>> items;
   {
     const std::lock_guard<std::mutex> lock(completions_->mutex);
@@ -317,7 +316,7 @@ void EventLoop::drainCompletions() {
   }
 }
 
-void EventLoop::flush(Connection& connection) {
+void TcpServer::flush(Connection& connection) {
   while (!connection.out.empty()) {
     const ssize_t sent = ::send(connection.fd, connection.out.data(),
                                 connection.out.size(), MSG_NOSIGNAL);
@@ -333,7 +332,7 @@ void EventLoop::flush(Connection& connection) {
   if (connection.closing) closeConnection(connection);
 }
 
-void EventLoop::closeConnection(Connection& connection) {
+void TcpServer::closeConnection(Connection& connection) {
   const int fd = connection.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);

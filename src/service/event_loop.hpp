@@ -1,4 +1,5 @@
-// Epoll event-loop front end for the repair service.
+// service::TcpServer: the repair service's TCP front end, an epoll event
+// loop. Embedders include it through service/server.hpp.
 //
 // One thread, edge-triggered epoll, non-blocking sockets: accept, read and
 // write are small state machines over per-connection line buffers, so an
@@ -10,7 +11,7 @@
 //
 // Dispatch goes through RepairService::handleLineAsync: a request that can
 // answer immediately is answered inside the loop iteration; a waiting op
-// (`submit`/`submit_batch`/`result` with "wait":true) parks a scheduler
+// (`submit`/`result` with "wait":true) parks a scheduler
 // completion callback, and the finishing worker thread posts the response
 // to the loop through an eventfd-signalled completion queue. While a
 // connection has a response pending, its further pipelined lines stay
@@ -39,7 +40,7 @@ namespace acr::service {
 
 class RepairService;
 
-struct EventLoopOptions {
+struct TcpServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; read the bound port back via port()
   /// Optional external stop flag (e.g. a signal handler's); polled by
@@ -48,19 +49,17 @@ struct EventLoopOptions {
   /// Longest accepted request line; above it the client gets an error
   /// response and the connection is closed.
   std::size_t max_line_bytes = 1 << 20;
-  /// Registry for the service.connections.* gauge/counters; nullptr =
-  /// the process-global registry.
-  util::MetricsRegistry* metrics = nullptr;
 };
 
-class EventLoop {
+/// The service.connections.* gauge/counters land in service.metrics().
+class TcpServer {
  public:
   /// Binds + listens immediately (throws std::runtime_error on failure).
-  EventLoop(RepairService& service, const EventLoopOptions& options = {});
-  ~EventLoop();
+  TcpServer(RepairService& service, const TcpServerOptions& options = {});
+  ~TcpServer();
 
-  EventLoop(const EventLoop&) = delete;
-  EventLoop& operator=(const EventLoop&) = delete;
+  TcpServer(const TcpServer&) = delete;
+  TcpServer& operator=(const TcpServer&) = delete;
 
   [[nodiscard]] int port() const { return port_; }
 
@@ -120,7 +119,7 @@ class EventLoop {
   [[nodiscard]] bool stopRequested() const;
 
   RepairService& service_;
-  const EventLoopOptions options_;
+  const TcpServerOptions options_;
   util::MetricsRegistry& metrics_;
   std::shared_ptr<CompletionQueue> completions_;
   int epoll_fd_ = -1;

@@ -142,23 +142,18 @@ std::optional<obs::TraceContext> JobScheduler::trace(std::uint64_t id) const {
   return it->second->trace;
 }
 
-std::optional<JobResult> JobScheduler::result(std::uint64_t id, bool wait) {
-  std::unique_lock<std::mutex> lock(mutex_);
+std::optional<JobResult> JobScheduler::result(std::uint64_t id) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
-  const std::shared_ptr<Job> job = it->second;
-  const auto done = [&job] {
-    return job->status == JobStatus::kDone ||
-           job->status == JobStatus::kCancelled;
-  };
-  if (!done()) {
-    if (!wait) return std::nullopt;
-    finished_.wait(lock, done);
+  const Job& job = *it->second;
+  if (job.status != JobStatus::kDone && job.status != JobStatus::kCancelled) {
+    return std::nullopt;
   }
-  return job->result;
+  return job.result;
 }
 
-bool JobScheduler::cancel(std::uint64_t id, bool only_if_queued) {
+bool JobScheduler::cancel(std::uint64_t id) {
   std::shared_ptr<Job> job;
   std::vector<std::function<void()>> callbacks;
   {
@@ -185,7 +180,6 @@ bool JobScheduler::cancel(std::uint64_t id, bool only_if_queued) {
         break;
       }
       case JobStatus::kRunning:
-        if (only_if_queued) return false;  // migration must not kill it
         job->cancelled.store(true, std::memory_order_relaxed);
         break;
       case JobStatus::kDone:

@@ -85,25 +85,22 @@ class JobScheduler {
   /// had none). Lets the wire protocol echo the trace id in `result`.
   [[nodiscard]] std::optional<obs::TraceContext> trace(std::uint64_t id) const;
 
-  /// Result of a finished job. `wait` blocks until the job finishes.
-  /// nullopt: unknown id, or the job is not finished yet (wait == false).
-  [[nodiscard]] std::optional<JobResult> result(std::uint64_t id, bool wait);
+  /// Result of a finished job; never blocks (onFinished() is how to wait).
+  /// nullopt: unknown id, or the job is not finished yet.
+  [[nodiscard]] std::optional<JobResult> result(std::uint64_t id) const;
 
   /// Parks a one-shot completion callback: invoked exactly once when the
   /// job reaches kDone/kCancelled — immediately (in the caller's thread)
   /// when it already has, else from whichever thread finishes the job.
-  /// This is how the event-loop server waits without a blocked thread:
-  /// `submit wait:true` parks a callback here instead of a connection
-  /// thread in result(). False: unknown id (callback not invoked).
+  /// This is how the service waits without a blocked thread: `submit
+  /// wait:true` parks a callback here. False: unknown id (callback not
+  /// invoked).
   bool onFinished(std::uint64_t id, std::function<void()> callback);
 
   /// Queued job: removed from the queue, never runs, status kCancelled.
   /// Running job: raises its flag (the job decides when to stop; its status
   /// becomes kCancelled when it returns). False: unknown or already done.
-  /// `only_if_queued` refuses to touch a running job (returns false and
-  /// leaves it alone), so a caller can withdraw queued work without ever
-  /// killing a job mid-run.
-  bool cancel(std::uint64_t id, bool only_if_queued = false);
+  bool cancel(std::uint64_t id);
 
   /// Stops admitting and blocks until every queued + running job finished.
   /// Idempotent; submit() rejects with "draining" afterwards.
@@ -141,7 +138,7 @@ class JobScheduler {
   util::MetricsRegistry& metrics_;
 
   mutable std::mutex mutex_;
-  std::condition_variable finished_;  // any job reaching kDone/kCancelled
+  std::condition_variable finished_;  // drain(): a job left queue or run
   std::uint64_t next_id_ = 1;
   bool draining_ = false;
   int running_ = 0;

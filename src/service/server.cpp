@@ -1,13 +1,13 @@
 #include "service/server.hpp"
 
-#include <cstring>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/ops.hpp"
 #include "localize/sbfl.hpp"
 #include "obs/trace.hpp"
-#include "service/event_loop.hpp"
 
 namespace acr::service {
 
@@ -44,8 +44,7 @@ RepairService::RepairService(const ServiceOptions& options)
 Json RepairService::dispatch(const Json& request) {
   const std::string& verb = request.find("op")->asString();
   try {
-    if (verb == "submit") return handleSubmit(request);
-    if (verb == "submit_batch") return handleSubmitBatch(request);
+    if (verb == "submit") return submitOne(request).response;
     if (verb == "status") return handleStatus(request);
     if (verb == "result") return handleResult(request);
     if (verb == "cancel") return handleCancel(request);
@@ -61,23 +60,6 @@ Json RepairService::dispatch(const Json& request) {
     return errorResponse(error.what());
   }
   return errorResponse("unknown op \"" + verb + "\"");
-}
-
-Json RepairService::handle(const Json& request) {
-  metrics_.counter("service.requests").add(1);
-  const util::ScopedTimer timer(metrics_.histogram("service.request_ms"));
-  if (!request.isObject()) return errorResponse("request must be an object");
-  const Json* op = request.find("op");
-  if (op == nullptr) return errorResponse("missing \"op\"");
-  obs::Span span("service.request");
-  span.attr("op", op->asString());
-  return dispatch(request);
-}
-
-std::string RepairService::handleLine(const std::string& line) {
-  const std::optional<Json> request = Json::parse(line);
-  if (!request) return errorResponse("malformed JSON").str();
-  return handle(*request).str();
 }
 
 void RepairService::handleAsync(const Json& request,
@@ -98,9 +80,8 @@ void RepairService::handleAsync(const Json& request,
   obs::Span span("service.request");
   span.attr("op", verb);
 
-  // Only the waiting paths need special treatment: everything else
-  // answers before returning, through the very same handlers the
-  // synchronous surface uses.
+  // A waiting op parks `done` on its job; every other op answers through
+  // dispatch() before returning.
   try {
     if (verb == "submit" && wait) {
       const SubmitOutcome submitted = submitOne(request);
@@ -111,62 +92,6 @@ void RepairService::handleAsync(const Json& request,
       const std::uint64_t id = submitted.id;
       scheduler_.onFinished(
           id, [this, id, done = std::move(done)] { done(resultResponse(id)); });
-      return;
-    }
-    if (verb == "submit_batch" && wait) {
-      const Json* items = request.find("items");
-      if (items == nullptr || items->kind() != Json::Kind::kArray ||
-          items->asArray().empty()) {
-        done(errorResponse("submit_batch requires a non-empty \"items\" array"));
-        return;
-      }
-      // Admit everything first (order fixed by the items array), then park
-      // one completion callback per accepted job; the last job to finish
-      // assembles and delivers the batch response.
-      struct BatchState {
-        std::vector<Json> entries;
-        std::atomic<std::size_t> remaining{0};
-        std::function<void(Json)> done;
-      };
-      auto state = std::make_shared<BatchState>();
-      state->entries.resize(items->asArray().size());
-      state->done = std::move(done);
-      std::vector<std::pair<std::size_t, std::uint64_t>> accepted;
-      for (std::size_t i = 0; i < items->asArray().size(); ++i) {
-        const std::optional<Json> merged =
-            mergeBatchItem(request, items->asArray()[i]);
-        if (!merged) {
-          state->entries[i] = errorResponse("batch item must be an object");
-          continue;
-        }
-        const SubmitOutcome submitted = submitOne(*merged);
-        if (!submitted.accepted) {
-          state->entries[i] = submitted.response;
-          continue;
-        }
-        accepted.emplace_back(i, submitted.id);
-      }
-      const auto assemble = [](BatchState& batch) {
-        Json response;
-        response.set("ok", true);
-        response.set("jobs", Json{Json::Array(batch.entries.begin(),
-                                              batch.entries.end())});
-        return response;
-      };
-      if (accepted.empty()) {
-        state->done(assemble(*state));
-        return;
-      }
-      state->remaining.store(accepted.size(), std::memory_order_relaxed);
-      for (const auto& [index, id] : accepted) {
-        scheduler_.onFinished(id, [this, state, assemble, index = index,
-                                   id = id] {
-          state->entries[index] = resultResponse(id);
-          if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            state->done(assemble(*state));
-          }
-        });
-      }
       return;
     }
     if (verb == "result" && wait) {
@@ -202,6 +127,17 @@ void RepairService::handleLineAsync(const std::string& line,
   }
   handleAsync(*request,
               [done = std::move(done)](Json response) { done(response.str()); });
+}
+
+Json RepairService::handle(const Json& request) {
+  // Shared: a waiting op's callback runs on a worker thread, which may
+  // still be inside set_value() when get() below returns.
+  auto response = std::make_shared<std::promise<Json>>();
+  std::future<Json> answered = response->get_future();
+  handleAsync(request, [response](Json answer) {
+    response->set_value(std::move(answer));
+  });
+  return answered.get();
 }
 
 RepairService::SubmitOutcome RepairService::submitOne(const Json& request) {
@@ -314,82 +250,12 @@ Json RepairService::resultResponse(std::uint64_t id) {
   response.set("ok", true);
   response.set("id", id);
   response.set("status", jobStatusName(*scheduler_.status(id)));
-  const std::optional<JobResult> result = scheduler_.result(id, /*wait=*/false);
+  const std::optional<JobResult> result = scheduler_.result(id);
   response.set("exit", result->exit_code);
   response.set("output", result->output);
   if (const std::optional<obs::TraceContext> trace = scheduler_.trace(id)) {
     if (trace->trace_id != 0) response.set("trace", trace->trace_id);
   }
-  return response;
-}
-
-Json RepairService::handleSubmit(const Json& request) {
-  const SubmitOutcome submitted = submitOne(request);
-  if (!submitted.accepted) return submitted.response;
-  if (request.find("wait") != nullptr && request.find("wait")->asBool()) {
-    (void)scheduler_.result(submitted.id, /*wait=*/true);
-    return resultResponse(submitted.id);
-  }
-  return submitted.response;
-}
-
-std::optional<Json> RepairService::mergeBatchItem(const Json& request,
-                                                  const Json& item) {
-  if (!item.isObject()) return std::nullopt;
-  // Top-level fields are the batch's shared defaults; the item overrides
-  // field by field. `op`/`items`/`wait` never merge — an item is always a
-  // plain non-waiting submit.
-  Json merged;
-  merged.set("op", "submit");
-  for (const char* key :
-       {"dir", "command", "seed", "metric", "priority", "report", "trace",
-        "parent"}) {
-    if (const Json* field = request.find(key)) merged.set(key, *field);
-  }
-  for (const auto& [key, value] : item.asObject()) {
-    if (key == "op" || key == "items" || key == "wait") continue;
-    merged.set(key, value);
-  }
-  return merged;
-}
-
-Json RepairService::handleSubmitBatch(const Json& request) {
-  const Json* items = request.find("items");
-  if (items == nullptr || items->kind() != Json::Kind::kArray ||
-      items->asArray().empty()) {
-    return errorResponse("submit_batch requires a non-empty \"items\" array");
-  }
-  const bool wait =
-      request.find("wait") != nullptr && request.find("wait")->asBool();
-  // Admit every item before waiting on any: one round-trip admits the
-  // whole batch, and rejected items surface their own backpressure entry
-  // while the accepted ones still run.
-  std::vector<Json> entries(items->asArray().size());
-  std::vector<std::pair<std::size_t, std::uint64_t>> accepted;
-  for (std::size_t i = 0; i < items->asArray().size(); ++i) {
-    const std::optional<Json> merged =
-        mergeBatchItem(request, items->asArray()[i]);
-    if (!merged) {
-      entries[i] = errorResponse("batch item must be an object");
-      continue;
-    }
-    const SubmitOutcome submitted = submitOne(*merged);
-    if (!submitted.accepted) {
-      entries[i] = submitted.response;
-      continue;
-    }
-    accepted.emplace_back(i, submitted.id);
-    entries[i] = submitted.response;
-  }
-  if (wait) {
-    for (const auto& [index, id] : accepted) {
-      (void)scheduler_.result(id, /*wait=*/true);
-      entries[index] = resultResponse(id);
-    }
-  }
-  Json response;
-  response.set("ok", true);
-  response.set("jobs", Json{Json::Array(entries.begin(), entries.end())});
   return response;
 }
 
@@ -410,11 +276,8 @@ Json RepairService::handleResult(const Json& request) {
   const Json* id_field = request.find("id");
   if (id_field == nullptr) return errorResponse("result requires \"id\"");
   const std::uint64_t id = id_field->asUint();
-  const bool wait =
-      request.find("wait") != nullptr && request.find("wait")->asBool();
   if (!scheduler_.status(id)) return errorResponse("unknown job id");
-  const std::optional<JobResult> result = scheduler_.result(id, wait);
-  if (!result) {
+  if (!scheduler_.result(id)) {
     Json response = errorResponse("not finished");
     response.set("id", id);
     response.set("status", jobStatusName(*scheduler_.status(id)));
@@ -424,22 +287,17 @@ Json RepairService::handleResult(const Json& request) {
 }
 
 Json RepairService::handleCancel(const Json& request) {
+  // "if_queued" once promised "dequeue, but never stop a running job".
+  // Ignoring it like other unknown keys would turn that promise into a
+  // plain cancel, so a request that still carries it changes nothing.
+  if (request.find("if_queued") != nullptr) {
+    return errorResponse("cancel does not take \"if_queued\"");
+  }
   const Json* id_field = request.find("id");
   if (id_field == nullptr) return errorResponse("cancel requires \"id\"");
   const std::uint64_t id = id_field->asUint();
-  const std::optional<JobStatus> status = scheduler_.status(id);
-  if (!status) return errorResponse("unknown job id");
-  // "if_queued": only dequeue a job that has not started — a client that
-  // resubmits queued work elsewhere must never kill a running job. Plain
-  // cancel keeps its raise-the-flag semantics.
-  const bool if_queued = request.find("if_queued") != nullptr &&
-                         request.find("if_queued")->asBool();
-  if (!scheduler_.cancel(id, if_queued)) {
-    if (if_queued && scheduler_.status(id) == JobStatus::kRunning) {
-      return errorResponse("already running");
-    }
-    return errorResponse("already finished");
-  }
+  if (!scheduler_.status(id)) return errorResponse("unknown job id");
+  if (!scheduler_.cancel(id)) return errorResponse("already finished");
   Json response;
   response.set("ok", true);
   response.set("id", id);
@@ -490,27 +348,5 @@ Json RepairService::handleStats() {
 }
 
 void RepairService::drain() { scheduler_.drain(); }
-
-// ---------------------------------------------------------------------------
-// TCP front end — a thin veneer over the epoll event loop
-// ---------------------------------------------------------------------------
-
-TcpServer::TcpServer(RepairService& service, const TcpServerOptions& options) {
-  EventLoopOptions loop_options;
-  loop_options.host = options.host;
-  loop_options.port = options.port;
-  loop_options.stop = options.stop;
-  loop_options.max_line_bytes = options.max_line_bytes;
-  loop_options.metrics = &service.metrics();
-  loop_ = std::make_unique<EventLoop>(service, loop_options);
-}
-
-TcpServer::~TcpServer() = default;
-
-int TcpServer::port() const { return loop_->port(); }
-
-void TcpServer::serve() { loop_->serve(); }
-
-void TcpServer::stop() { loop_->stop(); }
 
 }  // namespace acr::service

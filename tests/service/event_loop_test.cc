@@ -1,5 +1,4 @@
-// Adversarial wire-framing tests for the epoll event-loop TCP front end,
-// plus the submit_batch-vs-N-single-submits identity check.
+// Adversarial wire-framing tests for the epoll event-loop TCP front end.
 //
 // The event loop replaced a thread-per-connection server whose framing was
 // byte-exact; these tests pin that contract under hostile segmentation:
@@ -16,6 +15,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -143,7 +143,10 @@ int threadCount() {
 TEST(EventLoop, ByteAtATimeFramingMatchesHandleLine) {
   LoopFixture fixture;
   const std::string request = R"({"op":"stats"})";
-  const std::string expected = fixture.service.handleLine(request);
+  std::string expected;  // stats answers before handleLineAsync returns
+  fixture.service.handleLineAsync(request, [&expected](std::string answer) {
+    expected = std::move(answer);
+  });
 
   RawConnection connection(fixture.server.port());
   ASSERT_GE(connection.fd, 0);
@@ -188,6 +191,24 @@ TEST(EventLoop, TrickledSubmitIsByteIdenticalToEmbedded) {
   ASSERT_TRUE(response->find("ok")->asBool()) << response->str();
   EXPECT_EQ(response->find("output")->asString(), offline.text);
   EXPECT_EQ(response->find("exit")->asInt(), offline.ok ? 0 : 1);
+
+  // The same line handed to the dispatcher directly answers the same job
+  // bytes (only the job id differs).
+  // Shared: the worker that answers may still be in set_value() after
+  // get() returns.
+  auto embedded = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> answered = embedded->get_future();
+  fixture.service.handleLineAsync(request.str(), [embedded](std::string answer) {
+    embedded->set_value(std::move(answer));
+  });
+  const std::optional<Json> direct = Json::parse(answered.get());
+  ASSERT_TRUE(direct.has_value());
+  ASSERT_TRUE(direct->find("ok")->asBool()) << direct->str();
+  EXPECT_EQ(direct->find("output")->asString(),
+            response->find("output")->asString());
+  EXPECT_EQ(direct->find("exit")->asInt(), response->find("exit")->asInt());
+  EXPECT_EQ(direct->find("status")->asString(),
+            response->find("status")->asString());
 }
 
 TEST(EventLoop, PipelinedRequestsInOneSegmentAnswerInOrder) {
@@ -294,147 +315,6 @@ TEST(EventLoop, ThousandsOfIdleConnectionsCostNoThreads) {
   // The loop still answers requests promptly with the idle herd attached.
   const Json ping = client.call(stats_request);
   EXPECT_TRUE(ping.find("ok")->asBool());
-}
-
-TEST(EventLoop, CancelIfQueuedNeverKillsRunningJobs) {
-  TempDir scratch;
-  saveScenario(figure2Scenario(true), scratch.dir("faulty"));
-  util::MetricsRegistry metrics;
-  ServiceOptions options;
-  options.metrics = &metrics;
-  options.scheduler.workers = 1;
-  RepairService service(options);
-
-  Json submit;
-  submit.set("op", "submit");
-  submit.set("dir", scratch.dir("faulty"));
-  submit.set("command", "repair");
-  const Json first = service.handle(submit);
-  ASSERT_TRUE(first.find("ok")->asBool());
-  const Json second = service.handle(submit);
-  ASSERT_TRUE(second.find("ok")->asBool());
-
-  // The second job sits in the queue behind the first: if_queued takes it.
-  Json cancel_queued;
-  cancel_queued.set("op", "cancel");
-  cancel_queued.set("id", second.find("id")->asUint());
-  cancel_queued.set("if_queued", true);
-  const Json cancelled = service.handle(cancel_queued);
-  EXPECT_TRUE(cancelled.find("ok")->asBool()) << cancelled.str();
-
-  // The first job is running (single worker): if_queued must refuse.
-  for (int poll = 0; poll < 200; ++poll) {
-    if (service.scheduler().status(first.find("id")->asUint()) ==
-        JobStatus::kRunning) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (service.scheduler().status(first.find("id")->asUint()) ==
-      JobStatus::kRunning) {
-    Json cancel_running;
-    cancel_running.set("op", "cancel");
-    cancel_running.set("id", first.find("id")->asUint());
-    cancel_running.set("if_queued", true);
-    const Json refused = service.handle(cancel_running);
-    EXPECT_FALSE(refused.find("ok")->asBool());
-    EXPECT_EQ(refused.find("error")->asString(), "already running");
-  }
-  service.drain();
-}
-
-TEST(EventLoop, SubmitBatchMatchesSingleSubmits) {
-  TempDir scratch;
-  const Scenario faulty = figure2Scenario(true);
-  const Scenario clean = figure2Scenario(false);
-  saveScenario(faulty, scratch.dir("faulty"));
-  saveScenario(clean, scratch.dir("clean"));
-
-  const auto single = [&](const std::string& dir) {
-    util::MetricsRegistry metrics;
-    ServiceOptions options;
-    options.metrics = &metrics;
-    options.scheduler.workers = 1;
-    RepairService service(options);
-    Json request;
-    request.set("op", "submit");
-    request.set("dir", dir);
-    request.set("command", "verify");
-    request.set("wait", true);
-    return service.handle(request);
-  };
-  const Json faulty_single = single(scratch.dir("faulty"));
-  const Json clean_single = single(scratch.dir("clean"));
-  ASSERT_TRUE(faulty_single.find("ok")->asBool());
-  ASSERT_TRUE(clean_single.find("ok")->asBool());
-
-  util::MetricsRegistry metrics;
-  ServiceOptions options;
-  options.metrics = &metrics;
-  options.scheduler.workers = 2;
-  RepairService service(options);
-  Json batch;
-  batch.set("op", "submit_batch");
-  batch.set("command", "verify");  // shared default for every item
-  batch.set("wait", true);
-  Json::Array items;
-  for (const std::string& dir :
-       {scratch.dir("faulty"), scratch.dir("clean"), scratch.dir("faulty")}) {
-    Json item;
-    item.set("dir", dir);
-    items.push_back(std::move(item));
-  }
-  batch.set("items", Json(std::move(items)));
-  const Json response = service.handle(batch);
-  ASSERT_TRUE(response.find("ok")->asBool()) << response.str();
-  const Json* jobs = response.find("jobs");
-  ASSERT_NE(jobs, nullptr);
-  ASSERT_EQ(jobs->asArray().size(), 3u);
-
-  const std::vector<const Json*> want = {&faulty_single, &clean_single,
-                                         &faulty_single};
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const Json& entry = jobs->asArray()[i];
-    ASSERT_TRUE(entry.find("ok")->asBool()) << entry.str();
-    // Byte identity modulo the job id: output, exit and status must match
-    // what a lone submit returns for the same scenario.
-    EXPECT_EQ(entry.find("output")->asString(),
-              want[i]->find("output")->asString())
-        << "batch item " << i;
-    EXPECT_EQ(entry.find("exit")->asInt(), want[i]->find("exit")->asInt());
-    EXPECT_EQ(entry.find("status")->asString(),
-              want[i]->find("status")->asString());
-  }
-  service.drain();
-}
-
-TEST(EventLoop, BatchItemsOverrideSharedDefaults) {
-  TempDir scratch;
-  saveScenario(figure2Scenario(true), scratch.dir("faulty"));
-  util::MetricsRegistry metrics;
-  ServiceOptions options;
-  options.metrics = &metrics;
-  RepairService service(options);
-
-  Json batch;
-  batch.set("op", "submit_batch");
-  batch.set("dir", scratch.dir("faulty"));  // default dir
-  batch.set("command", "verify");
-  batch.set("wait", true);
-  Json::Array items;
-  items.emplace_back(Json::Object{});  // inherits everything
-  Json bad;
-  bad.set("command", "nuke");  // override → per-item admission error
-  items.push_back(std::move(bad));
-  batch.set("items", Json(std::move(items)));
-  const Json response = service.handle(batch);
-  ASSERT_TRUE(response.find("ok")->asBool()) << response.str();
-  const Json::Array& jobs = response.find("jobs")->asArray();
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_TRUE(jobs[0].find("ok")->asBool()) << jobs[0].str();
-  EXPECT_FALSE(jobs[1].find("ok")->asBool());
-  EXPECT_NE(jobs[1].find("error"), nullptr);
-  service.drain();
 }
 
 }  // namespace

@@ -51,7 +51,8 @@ TEST(JobScheduler, RunsJobsAndReportsResults) {
     return JobResult{3, "hello\n"};
   });
   ASSERT_TRUE(submitted.accepted);
-  const auto result = scheduler.result(submitted.id, /*wait=*/true);
+  scheduler.drain();
+  const auto result = scheduler.result(submitted.id);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->exit_code, 3);
   EXPECT_EQ(result->output, "hello\n");
@@ -63,7 +64,7 @@ TEST(JobScheduler, UnknownIdsAreDistinguishable) {
   util::MetricsRegistry metrics;
   JobScheduler scheduler(singleWorker(metrics));
   EXPECT_FALSE(scheduler.status(999).has_value());
-  EXPECT_FALSE(scheduler.result(999, /*wait=*/false).has_value());
+  EXPECT_FALSE(scheduler.result(999).has_value());
   EXPECT_FALSE(scheduler.cancel(999));
 }
 
@@ -134,7 +135,7 @@ TEST(JobScheduler, CancelQueuedJobNeverRuns) {
   ASSERT_TRUE(queued.accepted);
   EXPECT_TRUE(scheduler.cancel(queued.id));
   EXPECT_EQ(scheduler.status(queued.id), JobStatus::kCancelled);
-  const auto result = scheduler.result(queued.id, /*wait=*/true);
+  const auto result = scheduler.result(queued.id);  // finished on cancel
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->exit_code, 1);
   EXPECT_EQ(result->output, "cancelled before start\n");
@@ -161,7 +162,8 @@ TEST(JobScheduler, CancelRunningJobRaisesItsFlag) {
   EXPECT_EQ(scheduler.status(submitted.id), JobStatus::kRunning);
   EXPECT_TRUE(scheduler.cancel(submitted.id));
 
-  const auto result = scheduler.result(submitted.id, /*wait=*/true);
+  scheduler.drain();
+  const auto result = scheduler.result(submitted.id);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->output, "stopped cooperatively\n");
   EXPECT_EQ(scheduler.status(submitted.id), JobStatus::kCancelled);
@@ -201,7 +203,8 @@ TEST(JobScheduler, ThrowingJobBecomesErrorResult) {
         throw std::runtime_error("boom");
       });
   ASSERT_TRUE(submitted.accepted);
-  const auto result = scheduler.result(submitted.id, /*wait=*/true);
+  scheduler.drain();
+  const auto result = scheduler.result(submitted.id);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->exit_code, 1);
   EXPECT_EQ(result->output, "error: boom\n");

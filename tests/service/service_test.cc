@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,9 +144,53 @@ TEST(RepairService, RejectsBadRequests) {
           .find("error"),
       nullptr);
   // Malformed line (not JSON) still produces a well-formed error response.
-  const std::optional<Json> response = Json::parse(service.handleLine("{oops"));
+  std::string line;
+  service.handleLineAsync("{oops", [&line](std::string answer) {
+    line = std::move(answer);
+  });
+  const std::optional<Json> response = Json::parse(line);
   ASSERT_TRUE(response.has_value());
   EXPECT_FALSE(response->find("ok")->asBool());
+
+  // `submit_batch` is not an op.
+  const Json batch = service.handle(
+      Json::parse(R"({"op":"submit_batch","items":[{"dir":"x"}]})").value());
+  EXPECT_EQ(batch.str(), R"({"error":"unknown op \"submit_batch\"","ok":false})");
+
+  // A cancel that carries "if_queued" is refused and touches no job: the
+  // queued one stays queued, the running one keeps running, its flag down.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> running{false};
+  std::atomic<bool> flagged{false};
+  const JobScheduler::Submitted running_job = service.scheduler().submit(
+      0, [&](const std::atomic<bool>& cancelled) {
+        running.store(true);
+        released.wait();
+        flagged.store(cancelled.load());
+        return JobResult{};
+      });
+  ASSERT_TRUE(running_job.accepted);
+  while (!running.load()) std::this_thread::yield();
+  const JobScheduler::Submitted queued_job = service.scheduler().submit(
+      0, [](const std::atomic<bool>&) { return JobResult{}; });
+  ASSERT_TRUE(queued_job.accepted);
+  for (const std::uint64_t id : {queued_job.id, running_job.id}) {
+    Json cancel;
+    cancel.set("op", "cancel");
+    cancel.set("id", id);
+    cancel.set("if_queued", true);
+    const Json refused = service.handle(cancel);
+    EXPECT_FALSE(refused.find("ok")->asBool()) << refused.str();
+    EXPECT_NE(refused.find("error"), nullptr);
+  }
+  EXPECT_EQ(service.scheduler().status(queued_job.id), JobStatus::kQueued);
+  EXPECT_EQ(service.scheduler().status(running_job.id), JobStatus::kRunning);
+  release.set_value();
+  service.drain();
+  EXPECT_FALSE(flagged.load());
+  EXPECT_EQ(service.scheduler().status(queued_job.id), JobStatus::kDone);
+  EXPECT_EQ(service.scheduler().status(running_job.id), JobStatus::kDone);
 }
 
 TEST(RepairService, VerifyJobMatchesOfflineBytes) {
